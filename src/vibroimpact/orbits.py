@@ -29,7 +29,7 @@ import numpy as np
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force)
 from .flight import SinusoidArc
-from .simulator import FlightSegment, simulate
+from .simulator import FlightSegment, SimulationError, simulate
 from .strobemap import MapResult, period_map, period_map_jacobian
 from .strobemap import period_map_jacobian as _pmj
 
@@ -269,7 +269,7 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
             z_try[0] = min(max(z_try[0], p.l), p.r)
             try:
                 res_try = period_map_jacobian(p, (z_try[0], z_try[1]), t0, k)
-            except Exception:
+            except (SimulationError, ContractViolation):
                 res_try = None
             if res_try is not None:
                 r_try = np.array(res_try.output) - z_try
@@ -379,7 +379,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
             y_c[0] = min(max(y_c[0], p.l), p.r)
             try:
                 pp, res = eval_at(y_c)
-            except Exception:
+            except (SimulationError, ContractViolation):
                 return None, None
             if res.jacobian is None:
                 return None, None

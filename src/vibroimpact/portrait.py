@@ -16,12 +16,14 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
-from .model import Params, params_from_dict, params_to_dict
+from .model import ForceLaw, Params, params_from_dict, params_to_dict
 from .simulator import SimulationError
-from .strobemap import MapClass, period_map, period_map_jacobian
+from .strobemap import (BATCH_CELLS, CLASS_CODE, MapClass, period_map,
+                        period_map_batch, period_map_jacobian)
 
 
 class GridError(ValueError):
@@ -127,17 +129,14 @@ def iterate_cloud(p: Params, grid: GridSpec, seeds: np.ndarray | None = None,
 # one-period region classification
 # ---------------------------------------------------------------------------
 
-_CLASS_CODE = {MapClass.AREA_PRESERVING: 0, MapClass.CONTRACTING: 1,
-               MapClass.SINGULAR: 2, MapClass.UNDEFINED: 3}
-_CODE_NAME = {0: "area_preserving", 1: "contracting", 2: "singular",
-              3: "undefined"}
+_CODE_NAME = {code: cls.value for cls, code in CLASS_CODE.items()}
 
 
 @dataclass
 class RegionGrid:
     spec: GridSpec
     det: np.ndarray            # (nv, nx)
-    classes: np.ndarray        # (nv, nx) uint8, codes per _CLASS_CODE
+    classes: np.ndarray        # (nv, nx) uint8, codes per CLASS_CODE
     out_x: np.ndarray
     out_v: np.ndarray
 
@@ -145,27 +144,33 @@ class RegionGrid:
         return (self.classes == 1) | (self.classes == 2)
 
     def csv(self) -> str:
-        xs, vs = self.spec.xs(), self.spec.vs()
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["ix", "iv", "x", "v", "x_out", "v_out", "det",
-                    "classification"])
-        for iv in range(self.spec.nv):
-            for ix in range(self.spec.nx):
-                w.writerow([ix, iv, f"{xs[ix]:.17g}", f"{vs[iv]:.17g}",
-                            f"{self.out_x[iv, ix]:.17g}",
-                            f"{self.out_v[iv, ix]:.17g}",
-                            f"{self.det[iv, ix]:.17g}",
-                            _CODE_NAME[int(self.classes[iv, ix])]])
-        return buf.getvalue()
+        # One join over pieces of three cells.  Pieces this small (under
+        # 512 bytes) live in Python's small-object arenas, which are handed
+        # back to the system once empty; row-sized pieces or a StringIO
+        # buffer would stay behind as malloc heap (+7 to +12 MB resident
+        # from the second 400x400 grid on).  Rows are formatted one v-row
+        # at a time: a whole-grid tolist() would peak higher still.
+        xs = ["%.17g" % x for x in self.spec.xs().tolist()]
+        names = [_CODE_NAME[c] for c in range(len(_CODE_NAME))]
+        fmt = "%d,%d,%s,%s,%.17g,%.17g,%.17g,%s\n"
+        pieces = ["ix,iv,x,v,x_out,v_out,det,classification\n"]
+        for iv, v in enumerate(self.spec.vs().tolist()):
+            cells = [fmt % row for row in zip(
+                range(len(xs)), repeat(iv), xs, repeat("%.17g" % v),
+                self.out_x[iv].tolist(), self.out_v[iv].tolist(),
+                self.det[iv].tolist(),
+                map(names.__getitem__, self.classes[iv].tolist()))]
+            pieces += ["".join(cells[i:i + 3]) for i in range(0, len(cells), 3)]
+        return "".join(pieces)
 
     def to_tile_bytes(self) -> bytes:
         """Compact binary tile: magic 'VIPT', version, dims, ranges, then the
         det grid as float64 row-major (v-major) and class codes as uint8."""
         head = struct.pack("<4sIII", b"VIPT", 1, self.spec.nx, self.spec.nv)
         rng = struct.pack("<4d", *self.spec.x_range, *self.spec.v_range)
-        return (head + rng + self.det.astype("<f8").tobytes()
-                + self.classes.astype(np.uint8).tobytes())
+        return b"".join([head, rng,
+                         np.ascontiguousarray(self.det, dtype="<f8"),
+                         np.ascontiguousarray(self.classes, dtype=np.uint8)])
 
 
 def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -184,46 +189,70 @@ def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
 
 def _classify_point(p: Params, x: float, v: float, t0: float,
                     event_cap: int) -> tuple[float, int, float, float]:
+    # With the Jacobian, a wall-vanishing arc integrates its variational
+    # system too, and DOP853's step control then moves the image by up to
+    # ~1e-12 against period_map; region cells stay on this integration,
+    # the one the orbit solvers and the half-period symmetry checks use.
     try:
         res = period_map_jacobian(p, (x, v), t0, event_cap=event_cap)
     except SimulationError:
-        return (math.nan, 3, math.nan, math.nan)
-    return (res.det, _CLASS_CODE[res.classification],
+        return (math.nan, CLASS_CODE[MapClass.UNDEFINED], math.nan, math.nan)
+    return (res.det, CLASS_CODE[res.classification],
             res.output[0], res.output[1])
 
 
 def _region_chunk(args):
     pd, t0, cells, event_cap = args
     p = params_from_dict(pd)
-    out = np.empty((len(cells), 4))
-    for i, (x, v) in enumerate(cells):
-        out[i] = _classify_point(p, x, v, t0, event_cap)
-    return out
+    if p.force_law is ForceLaw.UNIFORM:
+        b = period_map_batch(p, cells[:, 0], cells[:, 1], t0,
+                             event_cap=event_cap)
+        return b.det, b.code, b.out_x, b.out_v
+    out = np.array([_classify_point(p, x, v, t0, event_cap)
+                    for x, v in cells]).reshape(-1, 4)
+    return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
 
-def _parallel_point_eval(p: Params, cells: np.ndarray, t0: float,
-                         workers: int, event_cap: int) -> np.ndarray:
-    args = None
-    if workers > 1 and len(cells) >= 4 * workers:
-        nch = workers * 8
-        chunks = np.array_split(cells, nch)
-        args = [(params_to_dict(p), t0, c, event_cap) for c in chunks]
+def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int,
+               event_cap: int):
+    """det, class code, out_x and out_v of n cells, where ``cells_at(a, b)``
+    gives cells a..b-1 as an (m, 2) array.  Cells are made and mapped one
+    piece at a time, so no grid-sized temporaries are held."""
+    det, out_x, out_v = np.empty(n), np.empty(n), np.empty(n)
+    code = np.empty(n, dtype=np.uint8)
+    pd = params_to_dict(p)
+    if workers > 1 and n >= 4 * workers:
+        edges = np.linspace(0, n, workers * 8 + 1).astype(int).tolist()
+        spans = list(zip(edges[:-1], edges[1:]))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_region_chunk, args))
-        return np.vstack(parts)
-    return _region_chunk((params_to_dict(p), t0, cells, event_cap))
+            parts = list(ex.map(_region_chunk,
+                                [(pd, t0, cells_at(a, b), event_cap)
+                                 for a, b in spans]))
+    else:
+        spans = [(a, min(a + BATCH_CELLS, n)) for a in range(0, n, BATCH_CELLS)]
+        parts = (_region_chunk((pd, t0, cells_at(a, b), event_cap))
+                 for a, b in spans)
+    for (a, b), part in zip(spans, parts):
+        det[a:b], code[a:b], out_x[a:b], out_v[a:b] = part
+    return det, code, out_x, out_v
 
 
 def classify_regions(p: Params, grid: GridSpec, *, workers: int = 1,
                      event_cap: int = 200_000) -> RegionGrid:
     """Cellwise one-period determinant and contraction class."""
     grid.validate_against(p)
-    data = _parallel_point_eval(p, grid.cells(), grid.t0, workers, event_cap)
-    det = data[:, 0].reshape(grid.nv, grid.nx)
-    cls = data[:, 1].astype(np.uint8).reshape(grid.nv, grid.nx)
-    return RegionGrid(spec=grid, det=det, classes=cls,
-                      out_x=data[:, 2].reshape(grid.nv, grid.nx),
-                      out_v=data[:, 3].reshape(grid.nv, grid.nx))
+    xs, vs = grid.xs(), grid.vs()
+
+    def cells_at(a, b):   # rows of grid.cells()
+        k = np.arange(a, b)
+        return np.column_stack([xs[k % grid.nx], vs[k // grid.nx]])
+
+    det, code, out_x, out_v = _map_cells(p, grid.nx * grid.nv, cells_at,
+                                         grid.t0, workers, event_cap)
+    shape = (grid.nv, grid.nx)
+    return RegionGrid(spec=grid, det=det.reshape(shape),
+                      classes=code.reshape(shape), out_x=out_x.reshape(shape),
+                      out_v=out_v.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -250,21 +279,14 @@ def invariance_check(p: Params, region: RegionGrid, *, workers: int = 1,
     point, so membership does not depend on the grid window.
     """
     mask = region.dissipative_mask()
-    nv, nx = mask.shape
-    interior = mask.copy()
-    if exclude_boundary:
-        pad = np.pad(mask, 1, constant_values=False)
-        for dv in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dv == 0 and dx == 0:
-                    continue
-                interior &= pad[1 + dv:1 + dv + nv, 1 + dx:1 + dx + nx]
+    interior = (np.logical_and.reduce(_neighbourhood(mask))
+                if exclude_boundary else mask)
     ivs, ixs = np.nonzero(interior)
     pts = np.column_stack([region.out_x[ivs, ixs], region.out_v[ivs, ixs]])
     if len(pts) == 0:
         return InvarianceReport(0, 0, int(mask.sum()), 0)
-    data = _parallel_point_eval(p, pts, region.spec.t0, workers, event_cap)
-    codes = data[:, 1].astype(int)
+    codes = _map_cells(p, len(pts), lambda a, b: pts[a:b], region.spec.t0,
+                       workers, event_cap)[1]
     violations = int(np.sum(codes == 0))
     undefined = int(np.sum(codes == 3))
     return InvarianceReport(checked=len(pts), violations=violations,
@@ -416,26 +438,50 @@ def verdicts_csv(grid: GridSpec, verdicts: list[CellVerdict]) -> str:
 # island area
 # ---------------------------------------------------------------------------
 
-def _island_test(p: Params, x: float, v: float, t0: float, n_periods: int,
-                 event_cap: int,
-                 box: tuple[float, float, float, float] | None = None) -> bool:
-    """Island membership: no turning/stick/grazing over n_periods map
-    iterations and, when a box is given, the orbit never leaves it
-    (bounded libration; chaotic-shell points diffuse out instead)."""
-    z = (x, v)
-    try:
-        for _ in range(n_periods):
-            res = period_map(p, z, t0, event_cap=event_cap)
-            c = res.event_summary
-            if c["turnings"] or c["sticks"] or c["grazings"]:
-                return False
-            z = res.output
-            if box is not None and not (box[0] <= z[0] <= box[1]
-                                        and box[2] <= z[1] <= box[3]):
-                return False
-    except SimulationError:
-        return False
-    return True
+def _neighbourhood(mask: np.ndarray) -> list[np.ndarray]:
+    """The 3x3 neighbourhood of every cell as nine shifted views of the
+    mask, padded with False beyond the grid edges (no wrap-around)."""
+    nv, nx = mask.shape
+    pad = np.pad(mask, 1, constant_values=False)
+    return [pad[1 + dj:1 + dj + nv, 1 + di:1 + di + nx]
+            for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+
+
+def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
+                   event_cap: int, stays) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """Iterate the period map on many states at once.  After each period
+    ``stays(batch)`` picks the cells that go on; the others drop out.
+    Returns the last states and the mask of cells that stayed throughout."""
+    x = np.array(xs, dtype=float)
+    v = np.array(vs, dtype=float)
+    idx = np.arange(len(x))
+    for _ in range(n_periods):
+        if not idx.size:
+            break
+        b = period_map_batch(p, x[idx], v[idx], t0, event_cap=event_cap)
+        x[idx], v[idx] = b.out_x, b.out_v
+        idx = idx[stays(b)]
+    alive = np.zeros(len(x), dtype=bool)
+    alive[idx] = True
+    return x, v, alive
+
+
+def _island_cells(p: Params, xs, vs, t0: float, n_periods: int,
+                  event_cap: int, box: tuple[float, float, float, float]
+                  ) -> np.ndarray:
+    """Island membership of many states: no turning/stick/grazing over
+    n_periods map iterations, and the orbit never leaves the box (bounded
+    libration; chaotic-shell points diffuse out instead).  An event-cap
+    hit counts as not an island."""
+    bx0, bx1, bv0, bv1 = box
+
+    def stays(b):
+        return (~b.capped & ~b.dissipative
+                & (bx0 <= b.out_x) & (b.out_x <= bx1)
+                & (bv0 <= b.out_v) & (b.out_v <= bv1))
+
+    return _iterate_batch(p, xs, vs, t0, n_periods, event_cap, stays)[2]
 
 
 @dataclass
@@ -476,7 +522,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
         hw_v = max(1.5, 0.3 * abs(v0))
         box = (p.l, p.r, v0 - hw_v, v0 + hw_v)
     bx0, bx1, bv0, bv1 = box
-    if not _island_test(p, x0, v0, t0, n_periods, event_cap, box):
+    if not _island_cells(p, [x0], [v0], t0, n_periods, event_cap, box)[0]:
         raise IslandSeedError(f"seed ({x0}, {v0}) is not inside an island "
                               f"(dissipative event or box escape within "
                               f"{n_periods} periods)")
@@ -488,20 +534,15 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     ic = min(max(int((x0 - bx0) / dx), 0), nx - 1)
     jc = min(max(int((v0 - bv0) / dv), 0), nv - 1)
 
-    tested = -np.ones((nv, nx), dtype=np.int8)   # -1 unknown, 0 out, 1 in
+    # every box cell tested in one batch (v-major, x fastest)
+    tested = _island_cells(p, np.tile(xs, nv), np.repeat(vs, nx), t0,
+                           n_periods, event_cap, box).reshape(nv, nx)
 
-    def test_cell(j, i):
-        if tested[j, i] < 0:
-            tested[j, i] = 1 if _island_test(p, float(xs[i]), float(vs[j]),
-                                             t0, n_periods, event_cap,
-                                             box) else 0
-        return tested[j, i] == 1
-
-    if not test_cell(jc, ic):
+    if not tested[jc, ic]:
         # the seed's own cell center may sit outside; look at the neighbors
         for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             if 0 <= jc + dj < nv and 0 <= ic + di < nx \
-                    and test_cell(jc + dj, ic + di):
+                    and tested[jc + dj, ic + di]:
                 jc, ic = jc + dj, ic + di
                 break
         else:
@@ -515,17 +556,14 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
         for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             jj, ii = j + dj, i + di
             if 0 <= jj < nv and 0 <= ii < nx and not mask[jj, ii] \
-                    and test_cell(jj, ii):
+                    and tested[jj, ii]:
                 mask[jj, ii] = True
                 stack.append((jj, ii))
 
     cell_area = dx * dv
     n_cells = int(mask.sum())
-    pad = np.pad(mask, 1, constant_values=False)
-    interior = np.ones_like(mask)
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            interior &= pad[1 + dj:1 + dj + nv, 1 + di:1 + di + nx]
+    near = _neighbourhood(mask)
+    interior = np.logical_and.reduce(near)
     boundary = int(mask.sum() - (mask & interior).sum())
 
     rng = np.random.default_rng(rng_seed)
@@ -539,23 +577,16 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     mc_area = frac * box_area
     mc_stderr = box_area * math.sqrt(max(frac * (1 - frac), 1e-12) / mc_samples)
 
-    dil = np.zeros_like(mask)
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            dil |= np.roll(np.roll(mask, dj, axis=0), di, axis=1)
+    dil = np.logical_or.reduce(near)
     sub = pts[inside][:mc_forward]
-    kept = 0
-    for x, v in sub:
-        z = (float(x), float(v))
-        try:
-            for _ in range(forward_periods):
-                z = period_map(p, z, t0, event_cap=event_cap).output
-        except SimulationError:
-            continue
-        i = int((z[0] - bx0) / dx)
-        j = int((z[1] - bv0) / dv)
-        if 0 <= i < nx and 0 <= j < nv and dil[j, i]:
-            kept += 1
+    zx, zv, mapped = _iterate_batch(p, sub[:, 0], sub[:, 1], t0,
+                                    forward_periods, event_cap,
+                                    lambda b: ~b.capped)
+    # int() truncation, as for the cell index of a single point
+    i = ((zx[mapped] - bx0) / dx).astype(np.int64)
+    j = ((zv[mapped] - bv0) / dv).astype(np.int64)
+    on_grid = (0 <= i) & (i < nx) & (0 <= j) & (j < nv)
+    kept = int(dil[j[on_grid], i[on_grid]].sum())
     retention = kept / len(sub) if len(sub) else 1.0
     return IslandAreaResult(area=n_cells * cell_area, n_cells=n_cells,
                             cell_area=cell_area, boundary_cells=boundary,

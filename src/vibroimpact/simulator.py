@@ -28,8 +28,9 @@ import numpy as np
 
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force, spatial_envelope)
-from .flight import (EventKind, FlightArc, UniformFlightArc,
-                     WallVanishingArc, next_event)
+from .flight import (HORIZON, IMPACT, IRREGULAR, EventKind, FlightArc,
+                     UniformFlightArc, UniformFlightArcs, WallVanishingArc,
+                     next_event, next_events)
 
 
 class SimulationError(RuntimeError):
@@ -155,6 +156,40 @@ def _signature(events) -> tuple[str, ...]:
 # pointwise event resolution (public contract operations)
 # ---------------------------------------------------------------------------
 
+# The velocity-zero rules shared by ``_advance`` and ``_advance_batch``;
+# they take scalars or arrays.
+
+def _turns(g, f):
+    """A velocity zero is a turning point when |force| beats friction;
+    otherwise the particle sticks (|force| = f sticks)."""
+    return abs(g) > f
+
+
+def _turning_ratio(g, f):
+    """Contraction ratio (determinant factor) of a turning point."""
+    return (abs(g) - f) / (abs(g) + f)
+
+
+def _phase(p: Params, t):
+    """Forcing phase omega t reduced to [0, 2 pi)."""
+    return (p.omega * t) % TWO_PI
+
+
+def _phase_delay(target, ph):
+    """Phase advance in [0, 2 pi) from phase ``ph`` to ``target``.  A gap
+    within 1e-9 of a full turn is roundoff at the target itself and counts
+    as 0 (the product with the comparison keeps this branch-free)."""
+    delta = (target - ph) % TWO_PI
+    return delta * (delta <= TWO_PI - 1e-9)
+
+
+def _band_exits(th0: float, ph):
+    """Phase delays from ``ph`` to the exits of the friction band
+    |cos| <= cos(th0): (leftward exit at pi - th0, rightward exit at
+    2 pi - th0).  The earlier one is taken; a tie goes left."""
+    return (_phase_delay(math.pi - th0, ph), _phase_delay(TWO_PI - th0, ph))
+
+
 def stick_release_time(p: Params, x: float, t_s: float) -> tuple[float, int] | None:
     """First (time, direction) after t_s where |force(x, .)| crosses f from
     below, or None when the force envelope never exceeds friction at x.
@@ -165,20 +200,10 @@ def stick_release_time(p: Params, x: float, t_s: float) -> tuple[float, int] | N
     amp = spatial_envelope(p, x)
     if amp <= p.f:
         return None
-    th0 = math.acos(min(1.0, p.f / amp))
-    ph = math.fmod(p.omega * t_s, TWO_PI)
-    if ph < 0.0:
-        ph += TWO_PI
-    best = None
-    for cand, direction in ((math.pi - th0, -1), (TWO_PI - th0, +1)):
-        delta = math.fmod(cand - ph, TWO_PI)
-        if delta < 0.0:
-            delta += TWO_PI
-        if delta > TWO_PI - 1e-9:   # phase already at the exit (roundoff)
-            delta = 0.0
-        if best is None or delta < best[0]:
-            best = (delta, direction)
-    return (t_s + best[0] / p.omega, best[1])
+    left, right = _band_exits(math.acos(min(1.0, p.f / amp)), _phase(p, t_s))
+    if right < left:
+        return (t_s + right / p.omega, +1)
+    return (t_s + left / p.omega, -1)
 
 
 def resolve_velocity_zero(p: Params, state: PhaseState) -> ResolvedEvent:
@@ -188,7 +213,7 @@ def resolve_velocity_zero(p: Params, state: PhaseState) -> ResolvedEvent:
     if not (p.l < state.x < p.r):
         raise ContractViolation("state must be strictly between the walls")
     g = applied_force(p, state.x, state.t)
-    if abs(g) > p.f:
+    if _turns(g, p.f):
         direction = 1 if g > 0 else -1
         return ResolvedEvent(ResolvedKind.TURNING, state.t, state, state,
                              force=g, direction=direction)
@@ -229,15 +254,7 @@ def _pressed_end_time(p: Params, wall: int, t: float) -> float:
     """
     beta = math.acos(min(1.0, p.f / p.F))
     target = beta if wall > 0 else math.pi + beta
-    ph = math.fmod(p.omega * t, TWO_PI)
-    if ph < 0.0:
-        ph += TWO_PI
-    delta = math.fmod(target - ph, TWO_PI)
-    if delta < 0.0:
-        delta += TWO_PI
-    if delta > TWO_PI - 1e-9:
-        delta = 0.0
-    return t + delta / p.omega
+    return t + _phase_delay(target, _phase(p, t)) / p.omega
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +359,10 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
                 # stay at the wall until motion can resume inward
                 while t < t_end:
                     g = applied_force(p, x, t)
-                    if abs(g) > p.f and (g > 0) != (at_wall > 0):
+                    if _turns(g, p.f) and (g > 0) != (at_wall > 0):
                         sign = -at_wall
                         break  # resume inward
-                    t_pe = _pressed_end_time(p, at_wall, t) if abs(g) > p.f else t
+                    t_pe = _pressed_end_time(p, at_wall, t) if _turns(g, p.f) else t
                     if t_pe > t + 1e-14 * max(1.0, abs(t)):
                         # pressed against the wall by the force
                         counts["pressed"] += 1
@@ -384,13 +401,13 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
                     # released toward the wall: pressed episode follows
                 break
             # interior velocity zero
-            if abs(g) > p.f:
+            if _turns(g, p.f):
                 sign = 1 if g > 0 else -1
                 counts["turnings"] += 1
                 st = PhaseState(x, 0.0, t)
                 note(ResolvedEvent(ResolvedKind.TURNING, t, st, st, force=g,
                                    direction=sign), "T")
-                ratio = (abs(g) - p.f) / (abs(g) + p.f)
+                ratio = _turning_ratio(g, p.f)
                 det *= ratio
                 if jac:
                     factors.append(("turning",
@@ -462,6 +479,104 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
 
     return RunResult(x, v, t_end, tuple(sig), counts, det, undefined,
                      factors, events, segments, n_events)
+
+
+# Events a cell may take inside the lockstep loop before it is handed to
+# ``_advance``.  Each pass of the loop moves every live cell by one event,
+# so a cell in a long cascade (tiny bounces against a wall, ~1e5 per
+# period) would keep the loop running for itself alone; ordinary cells take
+# a few events per period.
+LOCKSTEP_EVENTS = 64
+
+
+@dataclass
+class BatchRun:
+    """Raw output of ``_advance_batch``: per-cell final state, structural
+    det and event counts.  Entries of ``fallback`` cells are not set."""
+
+    x: np.ndarray
+    v: np.ndarray
+    det: np.ndarray
+    impacts: np.ndarray
+    turnings: np.ndarray
+    sticks: np.ndarray
+    fallback: np.ndarray
+
+
+def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
+                   t_end: float, event_cap: int) -> BatchRun:
+    """``_advance`` of many uniform-law cells from time t to t_end, in
+    lockstep: every pass resolves the pending velocity zeros and then
+    moves each live cell to its next event.
+
+    Cells the lockstep rules do not cover are flagged ``fallback``, to be
+    run by ``_advance`` from their initial state: a start on or outside a
+    wall, grazing contacts (and so wall-pressed rest), sticking without
+    friction (derivative undefined) and more than LOCKSTEP_EVENTS events
+    (``_advance`` then applies ``event_cap``).
+    """
+    n = len(xs)
+    x = np.array(xs, dtype=float)
+    v = np.array(vs, dtype=float)
+    tt = np.full(n, float(t))
+    sign = np.where(v > 0, 1.0, -1.0)
+    det = np.ones(n)
+    n_ev = np.zeros(n, dtype=np.int64)
+    impacts = np.zeros(n, dtype=np.int64)
+    turnings = np.zeros(n, dtype=np.int64)
+    sticks = np.zeros(n, dtype=np.int64)
+    fallback = ~((p.l < x) & (x < p.r))
+    live = np.flatnonzero(~fallback)
+    th0 = math.acos(min(1.0, p.f / p.F)) if p.F > p.f else None
+    limit = min(event_cap, LOCKSTEP_EVENTS)
+    while live.size:
+        # --- interior velocity zeros: turning point or stick -----------
+        z = live[v[live] == 0.0]
+        if z.size:
+            g = p.F * np.cos(p.omega * tt[z])   # applied_force, uniform law
+            turn = _turns(g, p.f)
+            zt, gt = z[turn], g[turn]
+            sign[zt] = np.where(gt > 0, 1.0, -1.0)
+            det[zt] *= _turning_ratio(gt, p.f)
+            turnings[zt] += 1
+            n_ev[zt] += 1
+            zs = z[~turn]
+            sticks[zs] += 1
+            n_ev[zs] += 1
+            det[zs] = 0.0
+            if p.f == 0.0:
+                fallback[zs] = True
+            elif th0 is None:           # no release: at rest to the end
+                tt[zs], v[zs] = t_end, 0.0
+            else:
+                left, right = _band_exits(th0, _phase(p, tt[zs]))
+                rightward = right < left
+                t_r = tt[zs] + np.where(rightward, right, left) / p.omega
+                released = t_r < t_end
+                n_ev[zs[released]] += 1
+                sign[zs] = np.where(rightward, 1.0, -1.0)
+                tt[zs] = np.where(released, t_r, t_end)
+                v[zs[~released]] = 0.0
+            fallback[z[n_ev[z] > limit]] = True
+            live = live[~fallback[live] & (tt[live] < t_end)]
+            if not live.size:
+                break
+        # --- flight to the next event -------------------------------------
+        arcs = UniformFlightArcs(p, x[live], v[live], tt[live], sign[live])
+        kind, te, xe, ve = next_events(p, arcs, t_end)
+        fallback[live[kind == IRREGULAR]] = True
+        moved = live[kind != IRREGULAR]
+        ok = kind != IRREGULAR
+        kind, te, xe, ve = kind[ok], te[ok], xe[ok], ve[ok]
+        x[moved], v[moved], tt[moved] = xe, ve, te
+        imp = moved[kind == IMPACT]
+        v[imp] = -v[imp]
+        sign[imp] = -sign[imp]
+        impacts[imp] += 1
+        n_ev[imp] += 1
+        fallback[imp[n_ev[imp] > limit]] = True
+        live = moved[(kind != HORIZON) & (te < t_end) & ~fallback[moved]]
+    return BatchRun(x, v, det, impacts, turnings, sticks, fallback)
 
 
 def simulate(p: Params, initial: PhaseState, duration: float, *,

@@ -31,8 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ContractViolation, Params, PhaseState
-from .simulator import RunResult, _advance
+from .model import ContractViolation, ForceLaw, Params, PhaseState
+from .simulator import (RunResult, SimulationError, _advance, _advance_batch,
+                        _turning_ratio)
 
 
 class MapClass(str, Enum):
@@ -43,6 +44,14 @@ class MapClass(str, Enum):
 
 
 DET_TOL = 1e-9
+
+# Integer codes of the map classes in region grids and batch results.
+CLASS_CODE = {MapClass.AREA_PRESERVING: 0, MapClass.CONTRACTING: 1,
+              MapClass.SINGULAR: 2, MapClass.UNDEFINED: 3}
+
+# Cells per lockstep batch: bounds the kernel's working arrays (peak memory)
+# independently of the grid size.
+BATCH_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,76 @@ def period_map(p: Params, state: tuple[float, float] | PhaseState,
     return _result_from_run(res, x, v, t0, k, with_jac=False)
 
 
+@dataclass(frozen=True)
+class MapBatch:
+    """One-period images of many cells (see ``period_map_batch``)."""
+
+    out_x: np.ndarray
+    out_v: np.ndarray
+    det: np.ndarray
+    code: np.ndarray       # CLASS_CODE of each cell's MapClass (uint8)
+    counts: np.ndarray     # (n, 4): impacts, turnings, sticks, grazings
+    capped: np.ndarray     # event cap exceeded: code 3, nan det and state
+
+    @property
+    def dissipative(self) -> np.ndarray:
+        """Cells with a turning, stick or grazing event."""
+        return self.counts[:, 1:].any(axis=1)
+
+
+def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
+                     event_cap: int = 1_000_000) -> MapBatch:
+    """``period_map`` of many states (xs[i], vs[i]) at phase time t0.
+
+    Under the uniform law the cells advance in lockstep
+    (``_advance_batch``, in chunks of BATCH_CELLS) with the scalar
+    engine's rules and floating-point order, so each cell's image, det,
+    class and counts equal those of ``period_map``.  Cells the lockstep
+    kernel hands back (wall starts, grazing, sticking without friction,
+    the event cap), and all cells of other force laws, are mapped by
+    ``period_map`` one at a time.  No Jacobian is formed.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    n = len(xs)
+    out_x, out_v, det = np.empty(n), np.empty(n), np.empty(n)
+    code = np.empty(n, dtype=np.uint8)
+    counts = np.zeros((n, 4), dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    t_end = t0 + p.T
+    for lo in range(0, n, BATCH_CELLS):
+        sl = slice(lo, lo + BATCH_CELLS)
+        if p.force_law is ForceLaw.UNIFORM:
+            run = _advance_batch(p, xs[sl], vs[sl], t0, t_end, event_cap)
+            out_x[sl], out_v[sl], det[sl] = run.x, run.v, run.det
+            code[sl] = np.where(np.abs(run.det - 1.0) <= DET_TOL,
+                                CLASS_CODE[MapClass.AREA_PRESERVING],
+                                np.where(np.abs(run.det) <= DET_TOL,
+                                         CLASS_CODE[MapClass.SINGULAR],
+                                         CLASS_CODE[MapClass.CONTRACTING]))
+            counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
+                run.impacts, run.turnings, run.sticks)
+            rare = lo + np.flatnonzero(run.fallback)
+        else:
+            rare = range(lo, min(lo + BATCH_CELLS, n))
+        for i in rare:
+            try:
+                res = period_map(p, (xs[i], vs[i]), t0, event_cap=event_cap)
+            except SimulationError:
+                out_x[i] = out_v[i] = det[i] = math.nan
+                code[i] = CLASS_CODE[MapClass.UNDEFINED]
+                counts[i] = 0
+                capped[i] = True
+                continue
+            c = res.event_summary
+            out_x[i], out_v[i] = res.output
+            det[i] = res.det
+            code[i] = CLASS_CODE[res.classification]
+            counts[i] = (c["impacts_left"] + c["impacts_right"], c["turnings"],
+                         c["sticks"], c["grazings"])
+    return MapBatch(out_x, out_v, det, code, counts, capped)
+
+
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,
                         event_cap: int = 1_000_000) -> MapResult:
     """Period map with the saltation-product Jacobian attached.
@@ -197,15 +276,7 @@ def reflection_factor(force_value: float, v_pre: float) -> np.ndarray:
 
 def turning_factor(force_value: float, f: float) -> np.ndarray:
     """Saltation matrix of a turning point."""
-    ratio = (abs(force_value) - f) / (abs(force_value) + f)
-    return np.array([[1.0, 0.0], [0.0, ratio]])
-
-
-def flight_factor(dt: float) -> np.ndarray:
-    return np.array([[1.0, dt], [0.0, 1.0]])
-
-
-STICK_FACTOR_MATRIX = np.array([[1.0, 0.0], [0.0, 0.0]])
+    return np.array([[1.0, 0.0], [0.0, _turning_ratio(force_value, f)]])
 
 
 def results_csv(results: list[MapResult]) -> str:

@@ -1,0 +1,190 @@
+"""The lockstep period map against the scalar one, cell by cell."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
+                         classify_regions, make_params, period_map)
+from vibroimpact.simulator import LOCKSTEP_EVENTS, _advance_batch
+from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
+
+FAST = make_params(F=1.0, f=0.05, omega=2.0 * math.pi, l=-1.0, r=1.0)
+PARAMS = (
+    FAST,
+    # high friction in a wide chamber: turnings and sticks
+    make_params(F=1.0, f=0.8, omega=1.0, l=-20.0, r=20.0),
+    # narrow chamber near the sticking boundary: grazing, wall-pressed rest
+    make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6),
+    # frictionless and small-friction narrow chambers
+    make_params(F=1.0, f=0.0, omega=1.0, l=0.0, r=0.8),
+    make_params(F=1.0, f=0.005, omega=1.0, l=0.0, r=0.8),
+    # friction above the force: every velocity zero is a permanent stop
+    make_params(F=1.0, f=1.2, omega=1.0, l=-1.0, r=1.0),
+)
+
+
+def scalar_rows(p, xs, vs, t0, event_cap=1_000_000):
+    """Rows (out_x, out_v, det, code, impacts, turnings, sticks, grazings)
+    of the scalar map, with the batch's encoding of event-cap hits."""
+    rows = []
+    for x, v in zip(xs, vs):
+        try:
+            r = period_map(p, (x, v), t0, event_cap=event_cap)
+        except SimulationError:
+            rows.append((math.nan, math.nan, math.nan,
+                         CLASS_CODE[MapClass.UNDEFINED], 0, 0, 0, 0))
+            continue
+        c = r.event_summary
+        rows.append((*r.output, r.det, CLASS_CODE[r.classification],
+                     c["impacts_left"] + c["impacts_right"], c["turnings"],
+                     c["sticks"], c["grazings"]))
+    return np.array(rows)
+
+
+def assert_matches_scalar(p, xs, vs, t0, event_cap=1_000_000):
+    b = period_map_batch(p, xs, vs, t0, event_cap=event_cap)
+    ref = scalar_rows(p, xs, vs, t0, event_cap)
+    np.testing.assert_array_equal(b.code, ref[:, 3])
+    np.testing.assert_array_equal(b.counts, ref[:, 4:])
+    for got, want in ((b.out_x, ref[:, 0]), (b.out_v, ref[:, 1]),
+                      (b.det, ref[:, 2])):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(b.capped, np.isnan(ref[:, 2]))
+    return b
+
+
+# Cells (u, v) with x = l + (r - l) u.  Cells within 1e-6 of a wall are
+# left to test_forced_fallbacks: pressed against the wall by the force they
+# bounce ~1e5 times per period, which the scalar reference takes seconds for.
+cell_lists = st.lists(st.tuples(st.floats(1e-6, 1.0 - 1e-6),
+                                st.floats(-4.0, 4.0)),
+                      min_size=1, max_size=48)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PARAMS), cells=cell_lists,
+       t0=st.floats(0.0, 10.0), zero_every=st.integers(2, 7))
+def test_batch_matches_scalar(p, cells, t0, zero_every):
+    u, vs = np.array(cells).T
+    xs = p.l + (p.r - p.l) * u
+    vs[::zero_every] = 0.0          # starts at rest: turning or stick first
+    assert_matches_scalar(p, xs, vs, t0)
+
+
+def test_batch_covers_turnings_sticks_and_grazings():
+    """One grid per friction regime; the union of the cells exercises every
+    event kind, both in the lockstep kernel and in the fallback."""
+    rng = np.random.default_rng(11)
+    seen = np.zeros(4, dtype=np.int64)
+    for p in PARAMS:
+        xs = rng.uniform(p.l, p.r, 400)
+        vs = rng.uniform(-3.0, 3.0, 400)
+        vs[:40] = 0.0
+        b = assert_matches_scalar(p, xs, vs, rng.uniform(0.0, p.T))
+        seen += b.counts.sum(axis=0)
+    assert np.all(seen > 0), seen
+
+
+def test_forced_fallbacks():
+    """Each kind of cell the kernel hands to the scalar map."""
+    # starts on a wall, both velocity signs
+    xs = np.array([FAST.l, FAST.l, FAST.r, FAST.r])
+    vs = np.array([1.3, -1.3, 0.7, -0.7])
+    assert_matches_scalar(FAST, xs, vs, 0.1)
+    # a chattering approach to the left wall ends in grazing, then
+    # wall-pressed rest
+    pressed = make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6)
+    b = assert_matches_scalar(pressed, np.array([1.5]), np.array([2.0]), 0.0)
+    assert b.counts[0, 3] > 0
+    assert b.code[0] == CLASS_CODE[MapClass.UNDEFINED]
+    # a long cascade: pressed toward the wall from 1e-6 away, the particle
+    # bounces on it ~1000 times in the period
+    b = assert_matches_scalar(PARAMS[3], np.array([1e-6]), np.array([0.0]),
+                              8.0)
+    assert b.counts[0, 0] > LOCKSTEP_EVENTS
+    # sticking without friction: the force vanishes identically
+    still = make_params(F=0.0, f=0.0, omega=1.0, l=-1.0, r=1.0)
+    b = assert_matches_scalar(still, np.array([0.2, 0.4]),
+                              np.array([0.0, 0.5]), 0.0)
+    assert b.code[0] == CLASS_CODE[MapClass.UNDEFINED]
+    assert b.counts[0, 2] == 1
+    # event cap: class 3, nan det and state, flagged capped
+    xs = np.linspace(-0.9, 0.9, 30)
+    vs = np.linspace(1.0, 9.0, 30)
+    b = assert_matches_scalar(FAST, xs, vs, 0.0, event_cap=2)
+    assert b.capped.any() and not b.capped.all()
+    assert np.all(b.code[b.capped] == CLASS_CODE[MapClass.UNDEFINED])
+
+
+def test_lockstep_kernel_hands_back_only_grazing_cells():
+    """Cells leave the lockstep kernel only for the listed reasons, so the
+    batch is not the scalar map in disguise."""
+    rng = np.random.default_rng(2)
+    for p in PARAMS[:3]:
+        xs = rng.uniform(p.l, p.r, 600)
+        vs = rng.uniform(-3.0, 3.0, 600)
+        vs[::4] = 0.0
+        run = _advance_batch(p, xs, vs, 0.7, 0.7 + p.T, 10_000)
+        for i in np.flatnonzero(run.fallback):
+            c = period_map(p, (xs[i], vs[i]), 0.7).event_summary
+            assert c["grazings"] > 0
+
+
+def test_batch_chunks_are_seamless():
+    rng = np.random.default_rng(5)
+    n = BATCH_CELLS + 37
+    xs = rng.uniform(-1.0, 1.0, n)
+    vs = rng.uniform(-2.0, 2.0, n)
+    whole = period_map_batch(FAST, xs, vs, 0.3)
+    tail = period_map_batch(FAST, xs[BATCH_CELLS - 5:], vs[BATCH_CELLS - 5:],
+                            0.3)
+    for a, b in ((whole.out_x, tail.out_x), (whole.out_v, tail.out_v),
+                 (whole.det, tail.det), (whole.code, tail.code)):
+        np.testing.assert_array_equal(a[BATCH_CELLS - 5:], b)
+
+
+def test_wall_vanishing_law_goes_through_scalar_map(wall_vanishing):
+    xs = np.array([0.0, 0.3, -0.6])
+    vs = np.array([0.9, -0.4, 0.0])
+    assert_matches_scalar(wall_vanishing, xs, vs, 0.0)
+
+
+# The wall-pressed set is left out: its chattering impact-turning cascades
+# end in a grazing contact whose event count is decided by roundoff.
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PARAMS[:2] + PARAMS[3:]), cells=cell_lists,
+       t0=st.floats(0.0, 10.0))
+def test_batch_sigma_equivariance(p, cells, t0):
+    """P(sigma z; t0 + T/2) = sigma P(z; t0), sigma(x, v) = (l+r-x, -v)."""
+    u, vs = np.array(cells).T
+    xs = p.l + (p.r - p.l) * u
+    a = period_map_batch(p, xs, vs, t0)
+    b = period_map_batch(p, p.l + p.r - xs, -vs, t0 + 0.5 * p.T)
+    np.testing.assert_array_equal(a.code, b.code)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    # the shifted phase carries roundoff of t0 + T/2 through every event
+    np.testing.assert_allclose(a.out_x, p.l + p.r - b.out_x, atol=1e-10)
+    np.testing.assert_allclose(a.out_v, -b.out_v, atol=1e-10)
+    np.testing.assert_allclose(a.det, b.det, atol=1e-10)
+
+
+def test_region_grid_uses_batch_values(fast):
+    """classify_regions reports exactly the batch's numbers."""
+    g = GridSpec((-1.0, 1.0), (-2.0, 2.0), 12, 9, t0=0.2)
+    rg = classify_regions(fast, g)
+    cells = g.cells()
+    b = period_map_batch(fast, cells[:, 0], cells[:, 1], 0.2,
+                         event_cap=200_000)
+    np.testing.assert_array_equal(rg.classes.ravel(), b.code)
+    np.testing.assert_array_equal(rg.out_x.ravel(), b.out_x)
+    np.testing.assert_array_equal(rg.det.ravel(), b.det)
+
+
+def test_start_outside_the_walls_is_refused():
+    with pytest.raises(ContractViolation):
+        period_map_batch(FAST, np.array([0.0, FAST.r + 1.0]),
+                         np.array([0.5, 0.5]))

@@ -1,7 +1,7 @@
 import pytest
 
 from vibroimpact import (OracleError, PhaseState, make_params,
-                         oracle_simulate, simulate)
+                         oracle_simulate, period_map, simulate)
 from vibroimpact.orbits import symmetric_orbit_formula, symmetric_orbit_state
 
 
@@ -73,3 +73,27 @@ def test_wall_vanishing_scalar_path(wall_vanishing):
     assert orc.signature() == tr.event_signature()
     assert orc.final.x == pytest.approx(tr.final.x, abs=1e-6)
     assert orc.final.v == pytest.approx(tr.final.v, abs=1e-5)
+
+
+def test_wall_vanishing_turning_then_quick_stop(wall_vanishing):
+    """An arc from rest at a turning point whose velocity returns to zero
+    within the first dense-output sample: the departure guard keeps the
+    arc start from being polished as its own velocity zero (that looped on
+    one turning until the event cap)."""
+    res = period_map(wall_vanishing, (0.5, 0.15), event_cap=5000)
+    orc = oracle_simulate(wall_vanishing, PhaseState(0.5, 0.15, 0.0),
+                          wall_vanishing.T, wall_vanishing.T / 4000)
+    assert res.signature == orc.signature() == ("T", "S", "s")
+
+
+def test_departure_tangent_to_rest_matches_oracle():
+    """v = -1 + sin t reaches zero tangentially at t = pi/2, where the force
+    cos t vanishes too: the turning point departs so weakly that the
+    velocity at the departure guard is roundoff (the polish bracket used to
+    have no sign change and brentq raised)."""
+    p = make_params(F=1.0, f=0.0, omega=1.0, l=0.0, r=0.8)
+    res = period_map(p, (0.6, -1.0))
+    orc = oracle_simulate(p, PhaseState(0.6, -1.0, 0.0), p.T, p.T / 20_000)
+    assert res.signature == orc.signature()
+    assert res.output[0] == pytest.approx(orc.final.x, abs=1e-9)
+    assert res.output[1] == pytest.approx(orc.final.v, abs=1e-9)

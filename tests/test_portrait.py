@@ -1,15 +1,19 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
 from vibroimpact import (AttractorRegistry, GridError, GridSpec,
-                         IslandSeedError, MapClass, Verdict, classify_cell,
-                         classify_cells, classify_regions, find_periodic,
+                         IslandSeedError, MapClass, RegionGrid, Verdict,
+                         classify_cell, classify_cells, classify_regions,
+                         find_periodic,
                          invariance_check, island_area, iterate_cloud,
                          make_params, period_map_jacobian, symmetric_orbit,
                          symmetric_orbit_formula, symmetric_orbit_state,
                          tile_from_bytes)
+from vibroimpact.portrait import _neighbourhood
 from vibroimpact.strobemap import turning_factor
 
 
@@ -106,6 +110,57 @@ def test_region_grid_csv_and_tile(fast):
     assert meta["nx"] == 8 and meta["nv"] == 6
     assert np.array_equal(det, rg.det)
     assert np.array_equal(cls, rg.classes)
+
+
+def _csv_writer_reference(rg):
+    """The region CSV as the csv module writes it, field by field."""
+    xs, vs = rg.spec.xs(), rg.spec.vs()
+    names = {0: "area_preserving", 1: "contracting", 2: "singular",
+             3: "undefined"}
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["ix", "iv", "x", "v", "x_out", "v_out", "det",
+                "classification"])
+    for iv in range(rg.spec.nv):
+        for ix in range(rg.spec.nx):
+            w.writerow([ix, iv, f"{xs[ix]:.17g}", f"{vs[iv]:.17g}",
+                        f"{rg.out_x[iv, ix]:.17g}", f"{rg.out_v[iv, ix]:.17g}",
+                        f"{rg.det[iv, ix]:.17g}",
+                        names[int(rg.classes[iv, ix])]])
+    return buf.getvalue()
+
+
+def test_region_csv_bytes_match_csv_writer(rng):
+    g = GridSpec((-1.0, 1.0), (-2.5, 2.5), 13, 7)
+    shape = (g.nv, g.nx)
+    det = rng.uniform(-1.0, 2.0, shape)
+    det.flat[::5] = 1.0
+    det.flat[1::9] = 0.0
+    det.flat[3] = -0.0
+    det.flat[[4, 17, 40]] = [math.nan, math.inf, -math.inf]
+    rg = RegionGrid(spec=g, det=det,
+                    classes=rng.integers(0, 4, shape).astype(np.uint8),
+                    out_x=(rng.uniform(-1.0, 1.0, shape)
+                           * 10.0 ** rng.integers(-20, 3, shape)),
+                    out_v=rng.normal(size=shape))
+    rg.out_v.flat[6] = math.nan
+    assert rg.csv().encode() == _csv_writer_reference(rg).encode()
+
+
+def test_neighbourhood_does_not_wrap_across_box_edges():
+    """The one-cell dilation of a mask touching the box edges stays next to
+    the mask instead of wrapping to the opposite edges."""
+    mask = np.zeros((5, 6), dtype=bool)
+    mask[0, 0] = mask[4, 2] = mask[2, 5] = True
+    near = _neighbourhood(mask)
+    dil = np.logical_or.reduce(near)
+    expect = np.zeros_like(mask)
+    for j, i in zip(*np.nonzero(mask)):
+        expect[max(j - 1, 0):j + 2, max(i - 1, 0):i + 2] = True
+    assert np.array_equal(dil, expect)
+    assert not dil[4, 0] and not dil[0, 5] and not dil[2, 0]
+    # a cell on the edge has out-of-box neighbors, so it is never interior
+    assert not np.logical_and.reduce(_neighbourhood(np.ones((3, 3), bool)))[0, 1]
 
 
 def test_workers_give_identical_results(fast):
