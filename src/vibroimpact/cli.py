@@ -15,7 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .model import ParameterError, Params, PhaseState, params_from_dict
+from .model import (ContractViolation, ParameterError, Params, PhaseState,
+                    params_from_dict)
 from .simulator import SimulationError, simulate
 from .orbits import (Nonexistence, OrbitError, continue_in_friction,
                      find_periodic, lift_conjugacy_check,
@@ -314,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError, GridError, ValueError) as exc:
+    except (ConfigError, ParameterError, GridError, ContractViolation,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SimulationError, OrbitError) as exc:

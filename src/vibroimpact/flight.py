@@ -228,6 +228,12 @@ class UniformFlightArc(SinusoidArc):
         force is x-independent so this is the unit shear."""
         return np.array([[1.0, t_b - t_a], [0.0, 1.0]])
 
+    def friction_column(self, t_a: float, t_b: float) -> np.ndarray:
+        """Fixed-time derivative of the flight over [t_a, t_b] in f: the
+        friction acceleration is -sign f, so (-sign dt^2 / 2, -sign dt)."""
+        dt = t_b - t_a
+        return np.array([-0.5 * self.sign * dt * dt, -self.sign * dt])
+
 
 class WallVanishingArc:
     """Flight arc of the wall-vanishing law, integrated on demand.
@@ -312,6 +318,10 @@ class WallVanishingArc:
             raise ContractViolation("arc built without variational transport")
         y = self._eval(t_b)
         return np.array([[y[2], y[3]], [y[4], y[5]]])
+
+    def friction_column(self, t_a: float, t_b: float) -> None:
+        """No closed-form derivative in f under this law."""
+        return None
 
     def first_velocity_zero(self, t_hi: float) -> float | None:
         return self._scan(t_hi, want="v")

@@ -30,8 +30,10 @@ from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force)
 from .flight import SinusoidArc
 from .simulator import FlightSegment, SimulationError, simulate
-from .strobemap import MapResult, period_map, period_map_jacobian
-from .strobemap import period_map_jacobian as _pmj
+# period_map (unused here) and _pmj, Newton's map, stay module attributes:
+# perfbench/spans.py wraps them to count each kind of map.
+from .strobemap import MapResult, multipliers, period_map  # noqa: F401
+from .strobemap import period_map_jacobian, period_map_jacobian as _pmj
 
 
 class OrbitError(RuntimeError):
@@ -90,19 +92,9 @@ def classify_multipliers(trace: float, det: float,
         return OrbitType.CENTER if abs(trace) < 2.0 else OrbitType.SADDLE
     if abs(det) <= det_tol and abs(trace) < 1.0:
         return OrbitType.DEGENERATE
-    lam1, lam2 = _eig(trace, det)
-    if max(abs(lam1), abs(lam2)) < 1.0:
+    if max(abs(lam) for lam in multipliers(trace, det)) < 1.0:
         return OrbitType.ATTRACTING
     return OrbitType.DEGENERATE
-
-
-def _eig(tr: float, dt: float) -> tuple[complex, complex]:
-    disc = tr * tr - 4.0 * dt
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return (0.5 * (tr - s), 0.5 * (tr + s))
-    s = math.sqrt(-disc)
-    return (complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +165,29 @@ def symmetric_orbit_state(p: Params, formula: SymmetricOrbitFormula,
 
     The rightward flight anchored at (l, v0) covers phase offsets
     [0, m pi) from psi; the leftward half follows by the antisymmetry
-    x(t + m pi / w) = -x(t) + r + l."""
+    x(t + m pi / w) = -x(t) + r + l.  An impact (u = 0 or m pi) within
+    roundoff after t counts as passed, so t gets the post-impact state, and
+    x is kept inside the walls."""
     w = p.omega
-    m = formula.m
-    u = math.fmod(w * t - formula.psi, 2.0 * m * math.pi)
+    half = formula.m * math.pi
+    u = math.fmod(w * t - formula.psi, 2.0 * half)
     if u < 0.0:
-        u += 2.0 * m * math.pi
-    mirror = u >= m * math.pi
+        u += 2.0 * half
+    tol = 1e-12 * max(1.0, abs(w * t))
+    if u > 2.0 * half - tol:
+        u = 0.0
+    elif half - tol < u < half:
+        u = half
+    mirror = u >= half
     if mirror:
-        u -= m * math.pi
-    te = t - (m * math.pi / w if mirror else 0.0)  # time on the rightward pass
+        u -= half
+    te = t - (half / w if mirror else 0.0)  # time on the rightward pass
     arc = SinusoidArc(t0=te - u / w, x0=p.l, v0=formula.v0, sign=1,
                       a_cos=p.F, a_k=-p.f, omega=w)
     x, v = arc.x(te), arc.v(te)
     if mirror:
-        return PhaseState(p.r + p.l - x, -v, t)
-    return PhaseState(x, v, t)
+        x, v = p.r + p.l - x, -v
+    return PhaseState(min(max(x, p.l), p.r), v, t)
 
 
 def symmetric_orbit(p: Params, branch: int, m: int = 1) -> OrbitRecord:
@@ -240,16 +239,12 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
                   max_iter: int = 40, event_cap: int = 1_000_000) -> OrbitRecord:
     """Damped Newton solve of period_map^k(z) = z.
 
-    Steps that change the trajectory's event signature are rejected and
-    halved: the map is only piecewise smooth and the iteration must stay
-    inside one smooth piece unless the residual still improves.
+    A step is accepted only if it lowers the residual |P(z) - z|, else it
+    is halved; after 24 halvings the solve fails.  So a step across an
+    event boundary cannot carry the iterate off to costly far states.
     """
-    def period_map_jacobian(pp, zz, tt, kk):  # shadow with the cap applied
-        return _pmj(pp, zz, tt, kk, event_cap=event_cap)
-
     z = np.array([min(max(guess[0], p.l), p.r), guess[1]], dtype=float)
-    res = period_map_jacobian(p, (z[0], z[1]), t0, k)
-    sig = res.signature
+    res = _pmj(p, (z[0], z[1]), t0, k, event_cap=event_cap)
     rvec = np.array(res.output) - z
     rnorm = float(np.hypot(*rvec))
     for _ in range(max_iter):
@@ -268,22 +263,20 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
             z_try = z + lam * step
             z_try[0] = min(max(z_try[0], p.l), p.r)
             try:
-                res_try = period_map_jacobian(p, (z_try[0], z_try[1]), t0, k)
+                res_try = _pmj(p, (z_try[0], z_try[1]), t0, k,
+                               event_cap=event_cap)
             except (SimulationError, ContractViolation):
                 res_try = None
             if res_try is not None:
                 r_try = np.array(res_try.output) - z_try
-                ok_sig = res_try.signature == sig
-                better = float(np.hypot(*r_try)) < rnorm
-                if ok_sig or better:
-                    z, res, rvec = z_try, res_try, r_try
-                    rnorm = float(np.hypot(*rvec))
-                    sig = res.signature
+                r_norm = float(np.hypot(*r_try))
+                if r_norm < rnorm:
+                    z, res, rvec, rnorm = z_try, res_try, r_try, r_norm
                     break
             lam *= 0.5
             if lam < 2.0 ** -24:
                 raise OrbitError("no periodic orbit found: step damping "
-                                 "exhausted (event signature keeps changing)")
+                                 "exhausted (no step lowers the residual)")
     else:
         raise OrbitError(f"no periodic orbit found: residual {rnorm:.3g} "
                          f"after {max_iter} iterations")
@@ -316,11 +309,17 @@ class FoldReport:
     state: tuple[float, float]
 
 
+# Newton updates one corrector call may take before it gives up.
+CORRECTOR_ITERATIONS = 25
+
+
 @dataclass
 class ContinuationResult:
     points: list[BranchPoint]
     fold: FoldReport | None
     termination: str     # "range end" | "fold refined" | "sticking boundary" | ...
+    iterations: list[int]  # corrector updates of each point after the first
+    cap_hits: int          # corrector calls that ran out of iterations
 
     def csv(self) -> str:
         buf = io.StringIO()
@@ -331,15 +330,6 @@ class ContinuationResult:
                         f"{pt.state[1]:.17g}", f"{pt.trace:.17g}",
                         f"{pt.det:.17g}", pt.orbit_type.value])
         return buf.getvalue()
-
-
-def _df_map(p: Params, z, t0, k, f, hf) -> np.ndarray:
-    """Central difference of the period map in the friction parameter."""
-    lo = max(0.0, f - hf)
-    hi = f + hf
-    r_hi = period_map(p.replace_friction(hi), (z[0], z[1]), t0, k)
-    r_lo = period_map(p.replace_friction(lo), (z[0], z[1]), t0, k)
-    return (np.array(r_hi.output) - np.array(r_lo.output)) / (hi - lo)
 
 
 def continue_in_friction(p: Params, orbit: OrbitRecord, *,
@@ -354,80 +344,79 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
     Detects folds by a sign reversal of the f-component of the branch
     tangent (refined by shrinking steps across the reversal); terminates
     with "sticking boundary" when the orbit's event signature acquires
-    sticking or grazing, and at the range ends otherwise.
+    sticking or grazing, and at the range ends otherwise.  The friction
+    column of the extended system is the map's closed-form ``df``, so the
+    continuation is defined for the uniform law only.
     """
+    if p.force_law is not ForceLaw.UNIFORM:
+        raise ContractViolation("continuation in f needs the uniform law")
     if k is None:
         k = orbit.k
     if f_max is None:
         f_max = symmetric_fold_friction(p) * 1.05
     t0 = orbit.t0
-    f = p.f
-    y = np.array([orbit.fixed_state[0], orbit.fixed_state[1], f])
+    y = np.array([orbit.fixed_state[0], orbit.fixed_state[1], p.f])
     base_sig = orbit.signature
+    iterations: list[int] = []
+    cap_hits = 0
 
     def eval_at(y):
         pp = p.replace_friction(max(y[2], 0.0))
-        return pp, period_map_jacobian(pp, (y[0], y[1]), t0, k)
+        return period_map_jacobian(pp, (y[0], y[1]), t0, k)
 
-    def corrector(y_pred, tangent):
-        y_c = y_pred.copy()
-        if y_c[2] < 0.0:
-            y_c[2] = 0.0
-        for _ in range(25):
-            if not (p.l - 1e-9 <= y_c[0] <= p.r + 1e-9):
-                return None, None
-            y_c[0] = min(max(y_c[0], p.l), p.r)
-            try:
-                pp, res = eval_at(y_c)
-            except (SimulationError, ContractViolation):
-                return None, None
-            if res.jacobian is None:
-                return None, None
-            g = np.array(res.output) - y_c[:2]
-            arc = float(tangent @ (y_c - y_pred))
-            rhs = -np.array([g[0], g[1], arc])
-            if max(abs(g[0]), abs(g[1]), abs(arc)) < tol:
-                return y_c, res
-            gf = _df_map(pp, y_c[:2], t0, k, y_c[2],
-                         1e-7 * max(1.0, y_c[2]))
-            A = np.zeros((3, 3))
-            A[:2, :2] = res.jacobian - np.eye(2)
-            A[:2, 2] = gf
-            A[2, :] = tangent
-            try:
-                dy = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                return None, None
-            y_c = y_c + dy
-            if y_c[2] < -1e-12:
-                return None, None
-            y_c[2] = max(y_c[2], 0.0)
-        return None, None
-
-    def tangent_at(y, res, prev_tangent):
-        pp = p.replace_friction(y[2])
-        gf = _df_map(pp, y[:2], t0, k, y[2], 1e-7 * max(1.0, y[2]))
+    def extended(res, last_row):
         A = np.zeros((3, 3))
         A[:2, :2] = res.jacobian - np.eye(2)
-        A[:2, 2] = gf
-        A[2, :] = prev_tangent
+        A[:2, 2] = res.df
+        A[2, :] = last_row
+        return A
+
+    def corrector(y_pred, tangent):
+        """Newton on (P(y) - z, tangent . (y - y_pred)) = 0: (y, map, updates)."""
+        nonlocal cap_hits
+        y_c = y_pred.copy()
+        y_c[2] = max(y_c[2], 0.0)
+        for n in range(CORRECTOR_ITERATIONS):
+            if not (p.l - 1e-9 <= y_c[0] <= p.r + 1e-9):
+                return None, None, n
+            y_c[0] = min(max(y_c[0], p.l), p.r)
+            try:
+                res = eval_at(y_c)
+            except (SimulationError, ContractViolation):
+                return None, None, n
+            if res.jacobian is None:
+                return None, None, n
+            rhs = -np.append(np.array(res.output) - y_c[:2],
+                             tangent @ (y_c - y_pred))
+            if np.abs(rhs).max() < tol:
+                return y_c, res, n
+            try:
+                dy = np.linalg.solve(extended(res, tangent), rhs)
+            except np.linalg.LinAlgError:
+                return None, None, n
+            y_c = y_c + dy
+            if y_c[2] < -1e-12:
+                return None, None, n
+            y_c[2] = max(y_c[2], 0.0)
+        cap_hits += 1
+        return None, None, CORRECTOR_ITERATIONS
+
+    def tangent_at(res, prev_tangent):
         try:
-            tau = np.linalg.solve(A, np.array([0.0, 0.0, 1.0]))
+            tau = np.linalg.solve(extended(res, prev_tangent),
+                                  np.array([0.0, 0.0, 1.0]))
         except np.linalg.LinAlgError:
             return prev_tangent
         n = np.linalg.norm(tau)
         if n == 0.0:
             return prev_tangent
-        tau = tau / n
-        if float(tau @ prev_tangent) < 0.0:
-            tau = -tau
-        return tau
+        return -tau / n if float(tau @ prev_tangent) < 0.0 else tau / n
 
-    pp, res = eval_at(y)
+    res = eval_at(y)
     if res.jacobian is None:
         raise OrbitError("starting orbit has undefined derivative")
     points = [_branch_point(y, res)]
-    tau = tangent_at(y, res, np.array([0.0, 0.0, float(direction)]))
+    tau = tangent_at(res, np.array([0.0, 0.0, float(direction)]))
 
     fold: FoldReport | None = None
     termination = "max points"
@@ -437,35 +426,34 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
         advanced = False
         while step >= ds_min:
             y_pred = y + step * tau
-            y_new, res_new = corrector(y_pred, tau)
+            y_new, res_new, n_iter = corrector(y_pred, tau)
             if y_new is not None and res_new.signature == base_sig:
                 advanced = True
                 break
             if y_new is not None and ("S" in res_new.signature
                                       or "G" in res_new.signature):
                 termination = "sticking boundary"
-                return ContinuationResult(points, fold, termination)
+                return ContinuationResult(points, fold, termination,
+                                          iterations, cap_hits)
             step *= 0.5
         if not advanced:
             termination = "step collapse"
             last = points[-1]
-            if last.signature and all(c in "RL" for c in last.signature):
-                pp = p.replace_friction(last.f)
-                vmin = _orbit_min_speed(pp, last.state, t0, k)
-                if vmin < 0.05 * max(1.0, abs(last.state[1])):
-                    termination = "sticking boundary"
+            if (_impacts_only(last.signature) and _orbit_min_speed(
+                    p.replace_friction(last.f), last.state, t0, k)
+                    < 0.05 * max(1.0, abs(last.state[1]))):
+                termination = "sticking boundary"
             break
-        tau_new = tangent_at(y_new, res_new, tau)
+        tau_new = tangent_at(res_new, tau)
         if fold is None and tau[2] > 0.0 and tau_new[2] < 0.0:
             fold = _refine_fold(y, tau, y_new, corrector, tangent_at)
         y, res, tau = y_new, res_new, tau_new
         points.append(_branch_point(y, res))
-        impact_only = all(c in "RL" for c in res.signature)
-        if impact_only and res.signature:
-            pp = p.replace_friction(y[2])
-            if _orbit_min_speed(pp, y[:2], t0, k) < 1e-3:
-                termination = "sticking boundary"
-                break
+        iterations.append(n_iter)
+        if _impacts_only(res.signature) and _orbit_min_speed(
+                p.replace_friction(y[2]), y[:2], t0, k) < 1e-3:
+            termination = "sticking boundary"
+            break
         n_ok += 1
         if n_ok >= 3:
             step = min(step * 1.4, ds_max)
@@ -478,7 +466,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
             break
     if fold is not None and termination.startswith("range end (f_min)"):
         termination = "fold refined"
-    return ContinuationResult(points, fold, termination)
+    return ContinuationResult(points, fold, termination, iterations, cap_hits)
 
 
 def _branch_point(y, res: MapResult) -> BranchPoint:
@@ -486,6 +474,10 @@ def _branch_point(y, res: MapResult) -> BranchPoint:
                        trace=res.trace, det=res.det,
                        orbit_type=classify_multipliers(res.trace, res.det),
                        signature=res.signature)
+
+
+def _impacts_only(signature) -> bool:
+    return bool(signature) and all(c in "RL" for c in signature)
 
 
 def _orbit_min_speed(p: Params, state, t0: float, k: int) -> float:
@@ -512,13 +504,13 @@ def _refine_fold(y_a, tau_a, y_b, corrector, tangent_at) -> FoldReport:
     best_state = (a[0], a[1]) if a[2] >= b[2] else (b[0], b[1])
     for _ in range(60):
         mid_pred = 0.5 * (a + b)
-        y_m, res_m = corrector(mid_pred, tau)
+        y_m, res_m, _ = corrector(mid_pred, tau)
         if y_m is None:
             break
         if y_m[2] > best:
             best = y_m[2]
             best_state = (y_m[0], y_m[1])
-        tau_m = tangent_at(y_m, res_m, tau)
+        tau_m = tangent_at(res_m, tau)
         if tau_m[2] > 0.0:
             a = y_m
         else:

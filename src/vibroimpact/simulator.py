@@ -275,7 +275,7 @@ class RunResult:
     counts: dict
     det: float
     undefined: bool
-    factors: list | None
+    factors: list | None   # (kind, 2x2 factor, its f-column term)
     events: list[ResolvedEvent] | None
     segments: list[Segment] | None
     n_events: int
@@ -314,13 +314,24 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         if record and t_b > t_a:
             segments.append(StickInterval(x_s, t_a, t_b, constrained))
 
+    def reflect(x_w, v_w, t_w, wall):
+        """Record an elastic impact at a wall; v_w is the pre-impact velocity."""
+        g = applied_force(p, x_w, t_w)
+        counts["impacts_right" if wall > 0 else "impacts_left"] += 1
+        note(ResolvedEvent(ResolvedKind.IMPACT, t_w, PhaseState(x_w, v_w, t_w),
+                           PhaseState(x_w, -v_w, t_w), force=g, wall=wall,
+                           direction=-wall), "R" if wall > 0 else "L")
+        if jac:
+            factors.append(("reflection",
+                            np.array([[-1.0, 0.0], [2.0 * g / v_w, -1.0]]), 0.0))
+
     def stick_factor():
         nonlocal det, undefined
         det = 0.0
         if p.f == 0.0:
             undefined = True   # degenerate tangency: v and force vanish together
         if jac:
-            factors.append(("stick", _STICK_FACTOR.copy()))
+            factors.append(("stick", _STICK_FACTOR.copy(), 0.0))
 
     sign = 0
     if v > 0:
@@ -331,19 +342,8 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
     # an initial state resting on a wall but pointed outward is resolved by
     # an immediate reflection
     if sign != 0 and ((x == p.r and sign > 0) or (x == p.l and sign < 0)):
-        wall = 1 if x == p.r else -1
-        g0 = applied_force(p, x, t)
-        before = PhaseState(x, v, t)
-        after = PhaseState(x, -v, t)
-        counts["impacts_right" if wall > 0 else "impacts_left"] += 1
-        note(ResolvedEvent(ResolvedKind.IMPACT, t, before, after, force=g0,
-                           wall=wall, direction=-wall),
-             "R" if wall > 0 else "L")
-        if jac:
-            factors.append(("reflection",
-                            np.array([[-1.0, 0.0], [2.0 * g0 / v, -1.0]])))
-        v = -v
-        sign = -sign
+        reflect(x, v, t, 1 if x == p.r else -1)
+        v, sign = -v, -sign
 
     while True:
         # --- zero-velocity states (interior or at a wall) ------------------
@@ -411,7 +411,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
                 det *= ratio
                 if jac:
                     factors.append(("turning",
-                                    np.array([[1.0, 0.0], [0.0, ratio]])))
+                                    np.array([[1.0, 0.0], [0.0, ratio]]), 0.0))
                 break
             rel = stick_release_time(p, x, t)
             counts["sticks"] += 1
@@ -449,7 +449,8 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         if record:
             segments.append(FlightSegment(arc, t, ev.time))
         if jac:
-            factors.append(("flight", arc.transport(t, ev.time)))
+            factors.append(("flight", arc.transport(t, ev.time),
+                            arc.friction_column(t, ev.time)))
 
         x, v, t = ev.state.x, ev.state.v, ev.state.t
 
@@ -459,20 +460,8 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
             v = 0.0
             continue  # wall + velocity zero handled at loop top
         if ev.wall != 0:
-            g = applied_force(p, x, t)
-            before = PhaseState(x, v, t)
-            after = PhaseState(x, -v, t)
-            key = "impacts_right" if ev.wall > 0 else "impacts_left"
-            counts[key] += 1
-            note(ResolvedEvent(ResolvedKind.IMPACT, t, before, after, force=g,
-                               wall=ev.wall, direction=-ev.wall),
-                 "R" if ev.wall > 0 else "L")
-            if jac:
-                c = 2.0 * g / v   # pre-impact velocity
-                factors.append(("reflection",
-                                np.array([[-1.0, 0.0], [c, -1.0]])))
-            v = -v
-            sign = -sign
+            reflect(x, v, t, ev.wall)
+            v, sign = -v, -sign
             continue
         # interior velocity zero: classified at loop top
         v = 0.0

@@ -19,6 +19,15 @@ event entries use the local force value.
 The reported determinant is structural: the product of the factor
 determinants, so impacts-only maps give exactly 1 and any sticking gives
 exactly 0; turning points contribute their contraction ratio.
+
+Under the uniform law the map's derivative in the friction f (``df``)
+rides along as a third column, the parameter form of the same product:
+
+    free flight [t1, t2], direction s   adds (-s dt^2/2, -s dt), dt = t2-t1
+    reflection, turning, sticking       pass it through their 2x2 factor
+
+(guards and resets do not depend on f, and the acceleration is 0 at a
+stick release, so the release-time shift adds nothing).
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ class MapResult:
     undefined: bool
     jacobian: np.ndarray | None = None
     factors: tuple[SaltationFactor, ...] | None = None
+    df: np.ndarray | None = None     # d output / d f; uniform law only
 
     @property
     def classification(self) -> MapClass:
@@ -98,13 +108,7 @@ class MapResult:
         return float(self.jacobian[0, 0] + self.jacobian[1, 1])
 
     def multipliers(self) -> tuple[complex, complex]:
-        tr, dt = self.trace, self.det
-        disc = tr * tr - 4.0 * dt
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            return (0.5 * (tr - s), 0.5 * (tr + s))
-        s = math.sqrt(-disc)
-        return (complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s))
+        return multipliers(self.trace, self.det)
 
     def csv_row(self) -> list:
         c = self.event_summary
@@ -114,40 +118,50 @@ class MapResult:
                 c["sticks"], c["grazings"]]
 
 
+def multipliers(tr: float, det: float) -> tuple[complex, complex]:
+    """Eigenvalues of a 2x2 map with trace tr and determinant det."""
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        return (0.5 * (tr - s), 0.5 * (tr + s))
+    s = math.sqrt(-disc)
+    return (complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s))
+
+
 def _result_from_run(res: RunResult, x, v, t0, k, with_jac) -> MapResult:
-    jac = None
-    factors = None
-    if with_jac:
-        if res.undefined:
-            jac = None
-            factors = None
-        else:
-            m = np.eye(2)
-            fs = []
-            for kind, mat in res.factors:
-                m = mat @ m
-                fs.append(SaltationFactor(kind, mat))
-            jac = m
-            factors = tuple(fs)
+    jac = factors = df = None
+    if with_jac and not res.undefined:
+        jac, df = np.eye(2), np.zeros(2)
+        fs = []
+        for kind, mat, col in res.factors:
+            jac = mat @ jac
+            df = None if df is None or col is None else mat @ df + col
+            fs.append(SaltationFactor(kind, mat))
+        factors = tuple(fs)
     return MapResult(input=(x, v), output=(res.x, res.v), t0=t0, k=k,
                      event_summary=dict(res.counts), signature=res.signature,
                      det=res.det, undefined=res.undefined,
-                     jacobian=jac, factors=factors)
+                     jacobian=jac, factors=factors, df=df)
 
 
-def period_map(p: Params, state: tuple[float, float] | PhaseState,
-               t0: float = 0.0, k: int = 1, *,
-               event_cap: int = 1_000_000) -> MapResult:
-    """Advance (x, v) at phase time t0 by k forcing periods."""
+def _map(p: Params, state, t0: float, k: int, event_cap: int,
+         jac: bool) -> MapResult:
     if k < 1:
         raise ContractViolation("k must be >= 1")
     if isinstance(state, PhaseState):
         x, v = state.x, state.v
     else:
         x, v = float(state[0]), float(state[1])
-    res = _advance(p, x, v, t0, t0 + k * p.T, record=False, jac=False,
+    res = _advance(p, x, v, t0, t0 + k * p.T, record=False, jac=jac,
                    event_cap=event_cap)
-    return _result_from_run(res, x, v, t0, k, with_jac=False)
+    return _result_from_run(res, x, v, t0, k, with_jac=jac)
+
+
+def period_map(p: Params, state: tuple[float, float] | PhaseState,
+               t0: float = 0.0, k: int = 1, *,
+               event_cap: int = 1_000_000) -> MapResult:
+    """Advance (x, v) at phase time t0 by k forcing periods."""
+    return _map(p, state, t0, k, event_cap, jac=False)
 
 
 @dataclass(frozen=True)
@@ -222,20 +236,13 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
 
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,
                         event_cap: int = 1_000_000) -> MapResult:
-    """Period map with the saltation-product Jacobian attached.
+    """Period map with the saltation-product Jacobian attached, and under
+    the uniform law its derivative in f (``df``).
 
     Grazing or wall-pressed episodes leave the derivative undefined; the
-    result carries jacobian=None and classifies as UNDEFINED.
+    result carries jacobian=None and df=None and classifies as UNDEFINED.
     """
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
-    if isinstance(state, PhaseState):
-        x, v = state.x, state.v
-    else:
-        x, v = float(state[0]), float(state[1])
-    res = _advance(p, x, v, t0, t0 + k * p.T, record=False, jac=True,
-                   event_cap=event_cap)
-    return _result_from_run(res, x, v, t0, k, with_jac=True)
+    return _map(p, state, t0, k, event_cap, jac=True)
 
 
 def finite_difference_jacobian(p: Params, state, t0: float = 0.0, k: int = 1,

@@ -110,6 +110,15 @@ def test_continue_without_orbit(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == 3
 
 
+def test_continue_wall_vanishing_is_usage_error(tmp_path, capsys):
+    """Continuation needs the uniform law: exit code 2, no traceback."""
+    rc = main(["continue", "--config", str(RECIPES / "wall_vanishing.cfg"),
+               "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "uniform law" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_periodic_command(cfg, capsys):
     rc = main(["periodic", "--config", cfg, "--x0", "-0.951", "--v0", "3.911"])
     assert rc == 0
@@ -132,6 +141,13 @@ def test_lift_check_command(cfg, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "conjugacy holds" in out
+
+
+def test_lift_check_wall_vanishing_is_usage_error(capsys):
+    rc = main(["lift-check", "--config", str(RECIPES / "wall_vanishing.cfg"),
+               "--x0", "0.0", "--v0", "0.8"])
+    assert rc == 2
+    assert "uniform law" in capsys.readouterr().err
 
 
 def test_regions_invariance_command(cfg, tmp_path, capsys):

@@ -1,16 +1,19 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, Nonexistence, OrbitError,
                          OrbitType, PhaseState, continue_in_friction,
                          find_periodic, lift_conjugacy_check, make_params,
-                         nonsticking_margin, period_map, simulate,
+                         nonsticking_margin, period_map,
+                         period_map_jacobian, simulate,
                          symmetric_orbit, symmetric_orbit_formula,
                          symmetric_orbit_state)
+from vibroimpact.orbits import CORRECTOR_ITERATIONS
 from vibroimpact.simulator import FlightSegment
 from tests.conftest import random_valid_symmetric_params
 
@@ -110,6 +113,10 @@ def _wall_aware_dist(p, a, b):
 
 @given(F=st.floats(0.5, 2.0), ff=st.floats(0.0, 0.55), om=st.floats(0.5, 2.5),
        R=st.floats(3.0, 30.0), l=st.floats(-3.0, 3.0))
+# the right-wall impact is within roundoff of the strobe: the mirrored state
+# fell one ulp outside the walls, and a pre-impact state gave 3 impacts
+@example(F=1.0, ff=2.22e-16, om=1.0, R=3.0, l=0.0)
+@example(F=1.0, ff=2.22e-16, om=0.5, R=5.0, l=0.0)
 @settings(max_examples=40, deadline=None)
 def test_formula_states_are_fixed_points(F, ff, om, R, l):
     """Whenever the existence and non-sticking conditions hold, the
@@ -230,6 +237,25 @@ def test_find_periodic_five_cycle(narrow):
     assert abs(orb.trace) <= 2.0 + 1e-6   # center chain
 
 
+def test_find_periodic_fails_fast_without_orbit(monkeypatch):
+    """AC-08's probe: no period-3 orbit at f = 0.3.  Only steps that lower
+    the residual are taken, so the iterate never walks off to fast states
+    (|v| ~ 1e4, thousands of impacts per map) before the solve fails."""
+    import vibroimpact.orbits as orbits
+    probed = []
+
+    def recording_map(p, z, *args, **kwargs):
+        probed.append(z)
+        return period_map_jacobian(p, z, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, "_pmj", recording_map)
+    fast3 = make_params(F=1.0, f=0.2, omega=2 * math.pi, l=-1.0, r=1.0)
+    guess = symmetric_orbit(fast3, 1, m=3).fixed_state
+    with pytest.raises(OrbitError):
+        find_periodic(fast3.replace_friction(0.3), guess, 3, event_cap=20_000)
+    assert max(abs(v) for _, v in probed) < 10.0
+
+
 def test_find_periodic_failure():
     p = make_params(F=1.0, f=0.8, omega=1.0, l=-20.0, r=20.0)
     with pytest.raises(OrbitError):
@@ -291,6 +317,22 @@ def test_branch_terminates_at_sticking_boundary():
     assert f_boundary < f_end < f_boundary + 0.06
     pp = p.replace_friction(f_end)
     assert symmetric_orbit_formula(pp, 2).min_flight_velocity < 0.05
+
+
+def test_wide_branch_corrector_converges_fast():
+    """With the closed-form friction column the corrector is Newton on a
+    smooth system: along the AC-02 branch no call runs out of iterations."""
+    p = make_params(F=1.0, f=0.01, omega=1.0, l=0.0, r=20.0)
+    res = continue_in_friction(p, symmetric_orbit(p, 1), f_min=1e-4, ds=2e-3)
+    assert len(res.iterations) == len(res.points) - 1
+    assert res.cap_hits == 0
+    assert max(res.iterations) < CORRECTOR_ITERATIONS
+    assert statistics.median(res.iterations) <= 3
+
+
+def test_continuation_refuses_wall_vanishing_law(fast, wall_vanishing):
+    with pytest.raises(ContractViolation):
+        continue_in_friction(wall_vanishing, symmetric_orbit(fast, 1))
 
 
 def test_continuation_csv(fast):

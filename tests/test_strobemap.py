@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, MapClass,
                          finite_difference_jacobian, make_params, period_map,
@@ -8,6 +12,7 @@ from vibroimpact.strobemap import (reflection_factor, results_csv,
                                    turning_factor)
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
+from tests.test_batch import FAST, PARAMS
 
 
 def test_reflection_factor_entries():
@@ -179,3 +184,91 @@ def test_wall_vanishing_jacobian_matches_fd(wall_vanishing):
     rel = np.linalg.norm(res.jacobian - fd) / np.linalg.norm(fd)
     assert rel < 1e-6
     assert np.linalg.det(res.jacobian) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the friction column df = dP/df
+# ---------------------------------------------------------------------------
+
+def _richardson_in_f(p, state, t0, k, h):
+    """Richardson-extrapolated difference quotient of the map in f
+    (central, or forward at f < h), or None when the four probes do not
+    share one event signature."""
+    if p.f >= h:
+        fs = (p.f + h, p.f - h, p.f + h / 2, p.f - h / 2)
+    else:
+        fs = (p.f + h, p.f, p.f + h / 2, p.f)
+    outs, sigs = [], set()
+    for f in fs:
+        r = period_map(p.replace_friction(f), state, t0, k)
+        outs.append(np.array(r.output))
+        sigs.add(r.signature)
+    if len(sigs) != 1:
+        return None
+    d1 = (outs[0] - outs[1]) / (fs[0] - fs[1])
+    d2 = (outs[2] - outs[3]) / (fs[2] - fs[3])
+    return (4.0 * d2 - d1) / 3.0 if p.f >= h else 2.0 * d2 - d1
+
+
+def fd_friction_column(p, state, t0, k):
+    """Finite-difference dP/df, or None where it does not settle.
+
+    Chaotic k = 3 maps reach |dP/df| ~ 1e4, so no single step resolves
+    every cell: of the estimates at h = 1e-5 ... 1e-8, the later one of the
+    closest consecutive pair is returned.  It counts as settled when that
+    pair agrees to 1e-7 relative, ten times finer than the tolerance the
+    column is held to.  A cell pressed against a wall at f = 0 (hundreds
+    of micro-bounces a period, d2P/df2 ~ 1e7) never settles."""
+    ests = [_richardson_in_f(p, state, t0, k, h)
+            for h in (1e-5, 1e-6, 1e-7, 1e-8)]
+    pairs = [(np.abs(a - b).max(), b) for a, b in zip(ests, ests[1:])
+             if a is not None and b is not None]
+    if not pairs:
+        return None
+    gap, est = min(pairs, key=lambda q: q[0])
+    return est if gap <= 1e-7 * max(1.0, np.abs(est).max()) else None
+
+
+def assert_column_matches(res, fd):
+    assert np.abs(res.df - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(PARAMS), u=st.floats(1e-6, 1.0 - 1e-6),
+       v=st.floats(-4.0, 4.0) | st.just(0.0), t0=st.floats(0.0, 10.0),
+       k=st.integers(1, 3))
+def test_friction_column_matches_finite_differences(p, u, v, t0, k):
+    state = (p.l + (p.r - p.l) * u, v)
+    res = period_map_jacobian(p, state, t0, k)
+    assume(res.df is not None)
+    fd = fd_friction_column(p, state, t0, k)
+    assume(fd is not None)
+    assert_column_matches(res, fd)
+
+
+P3 = make_params(F=1.0, f=0.2, omega=2.0 * math.pi, l=-1.0, r=1.0)
+STICK_BRANCH = make_params(F=1.0, f=0.45, omega=1.0, l=0.0, r=1.6)
+
+
+@pytest.mark.parametrize("p, state, t0, k, kinds", [
+    (FAST, (0.9, 0.1), 0.1, 1, {"T"}),
+    (PARAMS[1], (0.0, 0.3), 0.0, 1, {"S", "s"}),
+    (FAST, (0.3, 0.0), 0.25, 3, {"S", "s", "T"}),
+    (P3, symmetric_orbit(P3, 1, m=3).fixed_state, 0.0, 3, {"L", "R"}),
+    # |dP/df| ~ 5e3 near the sticking boundary of the continuation test
+    (STICK_BRANCH, symmetric_orbit(STICK_BRANCH, 2).fixed_state, 0.0, 1,
+     {"L", "R"}),
+])
+def test_friction_column_through_each_event_kind(p, state, t0, k, kinds):
+    res = period_map_jacobian(p, state, t0, k)
+    assert set(res.signature) == kinds
+    assert_column_matches(res, fd_friction_column(p, state, t0, k))
+
+
+def test_friction_column_only_under_uniform_law(wall_vanishing, fast):
+    assert period_map_jacobian(wall_vanishing, (0.0, 1.3)).df is None
+    assert period_map(fast, (0.1, 2.0)).df is None
+    # wall-pressed rest leaves the whole derivative undefined
+    p = make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6)
+    res = period_map_jacobian(p, (p.r, 0.0))
+    assert res.jacobian is None and res.df is None
