@@ -12,24 +12,28 @@ change is bracketed before being polished by Brent's method.  While the
 velocity keeps its sign the position is monotone, which reduces wall
 detection to a single bracketed root.
 
-Wall-vanishing arcs have no elementary closed form; they are integrated
-with DOP853 (dense output) and events are located on the dense-output
-interpolant with the same window/bracket discipline.
+Wall-vanishing arcs have no elementary closed form.  ``WallVanishingArcs``
+steps many of them at once by the DOP853 of ``lockstep`` (one step size per
+arc), each to the first accepted step that holds an event: a velocity sign
+change, sampled on the step's dense polynomial, or the wall ahead; roots
+are polished on that polynomial.  ``WallVanishingArc`` is its n = 1 call.
 
-``UniformFlightArcs`` and ``next_events`` run the uniform-law search on
-many arcs at once, in lockstep on numpy arrays, for the batched period map.
+``UniformFlightArcs`` runs the uniform-law search on many arcs at once, in
+lockstep on numpy arrays; ``next_events`` resolves either bundle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (perfbench/spans.py wraps it)
 from scipy.optimize import brentq
 
+from . import lockstep
 from .model import (TWO_PI, ContractViolation, ForceLaw, Params, PhaseState,
                     applied_force)
 
@@ -39,12 +43,13 @@ _BRENT_KW = dict(xtol=1e-14, rtol=4.0 * _EPS, maxiter=200)
 # Fraction of T used as the event-time tie window (simultaneous events).
 GRAZE_TIE = 1e-12
 
-# Dense-output sampling density per quarter-period window (wall-vanishing law).
-_WV_SAMPLES = 48
-
 # Integrator tolerances for wall-vanishing arcs.
 _WV_RTOL = 1e-12
 _WV_ATOL = 1e-13
+
+# Velocity samples on the dense polynomial of a wall-vanishing step that
+# may hold a velocity zero.
+_WV_STEP_SAMPLES = 8
 
 
 def _polish_velocity_zero(v, lo: float, hi: float) -> float:
@@ -204,10 +209,10 @@ def make_arc(p: Params, start: PhaseState, sign: int) -> "FlightArc":
     return _arc(p, start.x, start.v, start.t, sign)
 
 
-def _arc(p: Params, x: float, v: float, t: float, sign: int):
+def _arc(p: Params, x: float, v: float, t: float, sign: int, jac=False):
     if p.force_law is ForceLaw.UNIFORM:
         return UniformFlightArc(p, x, v, t, sign)
-    return WallVanishingArc(p, x, v, t, sign)
+    return WallVanishingArc(p, x, v, t, sign, with_transport=jac)
 
 
 class UniformFlightArc(SinusoidArc):
@@ -218,10 +223,6 @@ class UniformFlightArc(SinusoidArc):
     def __init__(self, p: Params, x, v, t, sign):
         super().__init__(t, x, v, sign, p.F, -sign * p.f, p.omega)
         self.params = p
-
-    @property
-    def start(self) -> PhaseState:
-        return PhaseState(self.x0, self.v0, self.t0)
 
     def transport(self, t_a: float, t_b: float) -> np.ndarray:
         """Fixed-time linearization of the flight over [t_a, t_b]; the
@@ -234,133 +235,64 @@ class UniformFlightArc(SinusoidArc):
         dt = t_b - t_a
         return np.array([-0.5 * self.sign * dt * dt, -self.sign * dt])
 
+    def event_times(self, horizon: float):
+        """First velocity zero in (t0, horizon] and the crossing of the wall
+        ahead before it (None: none)."""
+        t_v = self.first_velocity_zero(horizon)
+        t_stop = horizon if t_v is None else min(t_v, horizon)
+        target = self.params.r if self.sign > 0 else self.params.l
+        return t_v, self.wall_crossing(target, self.t0, t_stop)
+
 
 class WallVanishingArc:
-    """Flight arc of the wall-vanishing law, integrated on demand.
-
-    The arc extends itself lazily in quarter-period windows; positions and
-    velocities are read off the dense output.  When ``with_transport`` the
-    2x2 variational system is integrated alongside so the fixed-time flow
-    linearization is available at event times.
-    """
-
-    __slots__ = ("params", "t0", "x0", "v0", "sign", "omega",
-                 "_segments", "_t_reached", "_with_transport")
+    """One wall-vanishing arc: the n = 1 call of ``WallVanishingArcs``.  It
+    keeps every accepted step, so that after ``event_times`` x and v can be
+    read anywhere on the arc (a step's interpolant is built when first
+    read)."""
 
     def __init__(self, p: Params, x, v, t, sign, with_transport=False):
         self.params = p
-        self.t0 = t
-        self.x0 = x
-        self.v0 = v
-        self.sign = sign
-        self.omega = p.omega
-        self._segments = []
-        self._t_reached = t
-        self._with_transport = with_transport
+        self.t0, self.x0, self.v0, self.sign = t, x, v, sign
+        self._steps = []
+        self._arcs = WallVanishingArcs(
+            p, np.array([x], dtype=float), np.array([v], dtype=float),
+            np.array([t], dtype=float), np.array([float(sign)]),
+            jac=with_transport, steps=self._steps)
 
-    @property
-    def start(self) -> PhaseState:
-        return PhaseState(self.x0, self.v0, self.t0)
+    def event_times(self, horizon: float):
+        """``WallVanishingArcs.event_times`` (None: none)."""
+        times = self._arcs.event_times(horizon)
+        self._starts = [float(s[0][0]) for s in self._steps]
+        return tuple(None if math.isnan(e[0]) else float(e[0]) for e in times)
 
-    def _rhs(self, t, y):
-        p = self.params
-        half_pi = 0.5 * math.pi
-        env = p.F * math.cos(half_pi * y[0])
-        a = env * math.cos(p.omega * t) - self.sign * p.f
-        if not self._with_transport:
-            return (y[1], a)
-        # variational block: d/dt (dx, dv) rows of the 2x2 flow derivative
-        gx = -p.F * half_pi * math.sin(half_pi * y[0]) * math.cos(p.omega * t)
-        return (y[1], a, y[4], y[5], gx * y[2], gx * y[3])
-
-    def _extend_to(self, t_target: float) -> None:
-        while self._t_reached < t_target - 1e-15:
-            t_a = self._t_reached
-            t_b = min(t_a + 0.5 * math.pi / self.omega, t_target)
-            if self._segments:
-                y0 = self._segments[-1].sol(t_a)
-            else:
-                y0 = ([self.x0, self.v0] if not self._with_transport
-                      else [self.x0, self.v0, 1.0, 0.0, 0.0, 1.0])
-            sol = solve_ivp(self._rhs, (t_a, t_b), np.asarray(y0, dtype=float),
-                            method="DOP853", rtol=_WV_RTOL, atol=_WV_ATOL,
-                            dense_output=True)
-            if not sol.success:  # pragma: no cover - integrator failure
-                raise RuntimeError(f"arc integration failed: {sol.message}")
-            self._segments.append(sol)
-            self._t_reached = t_b
-
-    def _eval(self, t: float) -> np.ndarray:
-        self._extend_to(t)
-        for seg in self._segments:
-            if t <= seg.t[-1] + 1e-15:
-                return seg.sol(t)
-        return self._segments[-1].sol(t)
+    def _y(self, t: float) -> np.ndarray:
+        i = max(0, bisect.bisect_right(self._starts, t) - 1)
+        t_old, h, y_old, F = self._steps[i]
+        if len(F) == 2:   # (y_new, stages): build the interpolant
+            F = lockstep.dense(self._arcs._rhs(self._arcs.sign * self.params.f),
+                               t_old, h, y_old, *F)
+            self._steps[i] = (t_old, h, y_old, F)
+        return lockstep.interpolate(F, y_old, (t - t_old) / h)[:, 0]
 
     def x(self, t: float) -> float:
-        return float(self._eval(t)[0])
+        return float(self._y(t)[0])
 
     def v(self, t: float) -> float:
-        return float(self._eval(t)[1])
-
-    def accel(self, t: float) -> float:
-        p = self.params
-        return applied_force(p, self.x(t), t) - self.sign * p.f
+        return float(self._y(t)[1])
 
     def state(self, t: float) -> PhaseState:
-        y = self._eval(t)
+        y = self._y(t)
         return PhaseState(float(y[0]), float(y[1]), t)
 
     def transport(self, t_a: float, t_b: float) -> np.ndarray:
-        """Variational flow derivative over [t_a, t_b] (requires
-        with_transport=True and t_a == t0)."""
-        if not self._with_transport:
+        """Variational flow derivative over [t0, t_b] (with_transport)."""
+        if not self._arcs.jac:
             raise ContractViolation("arc built without variational transport")
-        y = self._eval(t_b)
+        y = self._y(t_b)
         return np.array([[y[2], y[3]], [y[4], y[5]]])
 
     def friction_column(self, t_a: float, t_b: float) -> None:
         """No closed-form derivative in f under this law."""
-        return None
-
-    def first_velocity_zero(self, t_hi: float) -> float | None:
-        return self._scan(t_hi, want="v")
-
-    def wall_crossing(self, target: float, t_lo: float, t_hi: float) -> float | None:
-        g = lambda t: self.x(t) - target
-        g_lo, g_hi = g(t_lo), g(t_hi)
-        if g_hi == 0.0:
-            return t_hi
-        if (g_hi > 0) == (g_lo > 0):
-            return None
-        return brentq(g, t_lo, t_hi, **_BRENT_KW)
-
-    def _scan(self, t_hi: float, want: str) -> float | None:
-        window = 0.5 * math.pi / self.omega
-        # departure guard of an arc from rest, as in
-        # SinusoidArc.first_velocity_zero: v(t0) = 0 exactly, so a bracket
-        # starting at t0 would polish to the start itself
-        guard = self.t0 + (1e-7 * TWO_PI / self.omega if self.v0 == 0.0 else 0.0)
-        a = self.t0
-        sign_a = self.sign if self.v0 == 0.0 else (1 if self.v0 > 0 else -1)
-        while a < t_hi - 1e-15:
-            b = min(a + window, t_hi)
-            self._extend_to(b)
-            ts = np.linspace(a, b, _WV_SAMPLES)
-            vs = np.array([self.v(t) for t in ts])
-            va = sign_a
-            for i in range(1, len(ts)):
-                if ts[i] <= guard:
-                    continue
-                v2 = vs[i]
-                if v2 == 0.0:
-                    return float(ts[i])
-                if (v2 > 0) != (va > 0):
-                    return _polish_velocity_zero(
-                        self.v, max(float(ts[i - 1]), guard), float(ts[i]))
-                va = v2
-            a = b
-            sign_a = va
         return None
 
 
@@ -378,11 +310,8 @@ def next_event(p: Params, arc: FlightArc, horizon: float) -> Event:
         raise ContractViolation("horizon must exceed the arc start time")
     p_l, p_r = p.l, p.r
     tie = GRAZE_TIE * p.T
-
-    t_v = arc.first_velocity_zero(horizon)
-    t_stop = horizon if t_v is None else min(t_v, horizon)
+    t_v, t_x = arc.event_times(horizon)
     target = p_r if arc.sign > 0 else p_l
-    t_x = arc.wall_crossing(target, arc.t0, t_stop)
 
     if t_x is not None:
         wall = 1 if arc.sign > 0 else -1
@@ -408,80 +337,41 @@ def next_event(p: Params, arc: FlightArc, horizon: float) -> Event:
 
 
 # ---------------------------------------------------------------------------
-# lockstep event location (uniform law, many arcs at once)
+# lockstep event location (many arcs at once)
 # ---------------------------------------------------------------------------
 
 # event codes of next_events
 HORIZON, IMPACT, VELOCITY_ZERO, IRREGULAR = 0, 1, 2, 3
 
 
-def _brentq_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """scipy's ``brentq`` (with _BRENT_KW) run on many brackets at once.
+class _LockstepArcs:
+    """Event polish shared by the lockstep bundles, which provide ``x``,
+    ``v`` and ``take`` (the bundle of the arcs idx)."""
 
-    ``f(t, i)`` evaluates the functions of brackets ``i`` at times ``t``.
-    Each bracket follows the iteration of scipy's C brentq step for step,
-    so every root is the one the scalar call returns, bit for bit.
-    """
-    xtol, rtol, maxiter = _BRENT_KW["xtol"], _BRENT_KW["rtol"], _BRENT_KW["maxiter"]
-    out = np.full(len(lo), np.nan)
-    sel = np.arange(len(lo))
-    xpre, xcur = lo.astype(float), hi.astype(float)
-    fpre, fcur = f(xpre, sel), f(xcur, sel)
-    out[fpre == 0.0] = xpre[fpre == 0.0]
-    at_hi = (fcur == 0.0) & (fpre != 0.0)
-    out[at_hi] = xcur[at_hi]
-    go = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(go & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    sel, xpre, xcur, fpre, fcur = sel[go], xpre[go], xcur[go], fpre[go], fcur[go]
-    xblk = np.zeros(len(sel))
-    fblk = np.zeros(len(sel))
-    spre = np.zeros(len(sel))
-    scur = np.zeros(len(sel))
-    for _ in range(maxiter):
-        if not len(sel):
-            break
-        new_blk = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(new_blk, xpre, xblk)
-        fblk = np.where(new_blk, fpre, fblk)
-        spre = np.where(new_blk, xcur - xpre, spre)
-        scur = np.where(new_blk, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            out[sel[done]] = xcur[done]
-            keep = ~done
-            sel, xpre, xcur, xblk = sel[keep], xpre[keep], xcur[keep], xblk[keep]
-            fpre, fcur, fblk = fpre[keep], fcur[keep], fblk[keep]
-            spre, scur, delta, sbis = spre[keep], scur[keep], delta[keep], sbis[keep]
-            if not len(sel):
-                break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_int = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            s_ext = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, s_int, s_ext)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre = np.where(short, scur, sbis)
-        scur = np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        xcur = xpre + step
-        fcur = f(xcur, sel)
-    else:  # pragma: no cover - brentq's own iteration cap
-        raise RuntimeError("lockstep Brent iteration did not converge")
-    return out
+    def polish_velocity_zeros(self, lo, hi) -> np.ndarray:
+        """``_polish_velocity_zero`` per arc, on brackets [lo, hi]."""
+        root = lo.copy()
+        go = np.flatnonzero((self.v(lo) > 0) != (self.v(hi) > 0))
+        if go.size:
+            arcs = self.take(go)
+            root[go] = lockstep.brentq(lambda t, i: arcs.take(i).v(t), lo[go],
+                                       hi[go], **_BRENT_KW)
+        return root
+
+    def wall_crossing(self, target, t_lo, t_hi) -> np.ndarray:
+        """Root of x(t) = target on [t_lo, t_hi] per arc, where x is
+        monotone toward the target (nan: none)."""
+        g_lo, g_hi = self.x(t_lo) - target, self.x(t_hi) - target
+        out = np.where(g_hi == 0.0, t_hi, np.nan)
+        br = np.flatnonzero((g_hi != 0.0) & ((g_hi > 0) != (g_lo > 0)))
+        if br.size:
+            arcs, tg = self.take(br), target[br]
+            out[br] = lockstep.brentq(lambda t, i: arcs.take(i).x(t) - tg[i],
+                                      t_lo[br], t_hi[br], **_BRENT_KW)
+        return out
 
 
-class UniformFlightArcs:
+class UniformFlightArcs(_LockstepArcs):
     """Uniform-law flight arcs of many cells, searched in lockstep.
 
     The fields are those of ``UniformFlightArc`` as arrays, one entry per
@@ -571,40 +461,150 @@ class UniformFlightArcs:
             a[idx] = b
             va_all[idx] = va
             idx = idx[open_ & (b < t_hi)]
-        # polished as in _polish_velocity_zero
         br = np.flatnonzero(~np.isnan(lo))
-        arcs = self.take(br)
-        early = (arcs.v(lo[br]) > 0) == (arcs.v(hi[br]) > 0)
-        root[br[early]] = lo[br[early]]
-        br, arcs = br[~early], arcs.take(~early)
-        if br.size:
-            root[br] = _brentq_lockstep(lambda t, i: arcs.take(i).v(t), lo[br], hi[br])
+        root[br] = self.take(br).polish_velocity_zeros(lo[br], hi[br])
         return root
 
-    def wall_crossing(self, target, t_lo, t_hi) -> np.ndarray:
-        """Root of x(t) = target on [t_lo, t_hi] per arc (nan: none)."""
-        g_lo = self.x(t_lo) - target
-        g_hi = self.x(t_hi) - target
-        out = np.where(g_hi == 0.0, t_hi, np.nan)
-        br = np.flatnonzero((g_hi != 0.0) & ((g_hi > 0) != (g_lo > 0)))
+    def event_times(self, horizon: float):
+        """``UniformFlightArc.event_times`` per arc (nan: none)."""
+        t_v = self.first_velocity_zero(horizon)
+        t_stop = np.where(np.isnan(t_v), horizon, np.minimum(t_v, horizon))
+        target = np.where(self.sign > 0, self.params.r, self.params.l)
+        return t_v, self.wall_crossing(target, self.t0, t_stop)
+
+
+class WallVanishingArcs(_LockstepArcs):
+    """Wall-vanishing arcs of many cells, each stepped by the lockstep DOP853
+    to its first accepted step that holds an event, or to the horizon.  A
+    step of sign s holds none if x ends 1e-12 short of the wall ahead and
+    s (v + a h) > M h^2, with v and a = x'' at its start and M = F (omega +
+    pi/2 (|v| + (F + f) h)) >= |a'| (twice the Taylor remainder bound).
+    Other steps are searched: v is sampled at _WV_STEP_SAMPLES points past
+    the departure guard on the dense polynomial, where the roots are
+    polished.  ``x`` and ``v`` read the last steps.  With ``jac`` the
+    variational block (rows 2-5: dx/dx0, dx/dv0, dv/dx0, dv/dv0) rides
+    along; a list ``steps`` gets the accepted steps of a single arc."""
+
+    def __init__(self, p: Params, x, v, t, sign, jac=False, steps=None):
+        self.params, self.jac, self.steps = p, jac, steps
+        self.t0, self.x0, self.v0, self.sign = t, x, v, sign
+
+    def _rhs(self, fs):
+        """The vector field of arcs with friction acceleration fs."""
+        p, hp = self.params, 0.5 * math.pi
+
+        def fun(t, y):
+            c = np.cos(p.omega * t)
+            out = np.empty_like(y)
+            out[0], out[1] = y[1], p.F * np.cos(hp * y[0]) * c - fs
+            if len(y) > 2:     # d/dt of the flow derivative rows
+                gx = -p.F * hp * np.sin(hp * y[0]) * c
+                out[2:4], out[4:] = y[4:], gx * y[2:4]
+            return out
+        return fun
+
+    def take(self, idx) -> "WallVanishingArcs":
+        """The last steps of arcs idx."""
+        sub = object.__new__(WallVanishingArcs)
+        sub._t, sub._h, sub._y, sub._F = (self._t[idx], self._h[idx],
+                                          self._y[:, idx], self._F[:, :, idx])
+        return sub
+
+    def _at(self, t, row):
+        """Component ``row`` at times t (per arc) on the last steps."""
+        return lockstep.interpolate(self._F[:, row], self._y[row],
+                                    (t - self._t) / self._h)
+
+    def x(self, t):
+        return self._at(t, 0)
+
+    def v(self, t):
+        return self._at(t, 1)
+
+    def event_times(self, horizon: float):
+        """``UniformFlightArc.event_times`` per arc (nan: none)."""
+        p, n, fs = self.params, len(self.t0), self.sign * self.params.f
+        t = np.array(self.t0, dtype=float)
+        y = np.zeros((6 if self.jac else 2, n))
+        y[0], y[1] = self.x0, self.v0
+        if self.jac:
+            y[2] = y[5] = 1.0
+        fun = self._rhs(fs)
+        f = fun(t, y)
+        h = lockstep.initial_step(fun, t, y, f, horizon, _WV_RTOL, _WV_ATOL)
+        target = np.where(self.sign > 0, p.r, p.l)
+        guard = self.t0 + np.where(self.v0 == 0.0, 1e-7 * TWO_PI / p.omega, 0.0)
+        self._t, self._h, self._y = np.empty(n), np.empty(n), np.empty_like(y)
+        self._F = np.empty((7,) + y.shape)
+        t_v, t_x = np.full(n, np.nan), np.full(n, np.nan)
+        rejected, live = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        idx = np.arange(n)
+        while idx.size:
+            ti, hi = t[idx], h[idx]
+            min_step = 10.0 * np.abs(np.nextafter(ti, np.inf) - ti)
+            hi = np.where(~rejected[idx] & (hi < min_step), min_step, hi)
+            if np.any(hi < min_step):  # pragma: no cover - integrator failure
+                raise RuntimeError("wall-vanishing arc: step size underflow")
+            t_new = np.minimum(ti + hi, horizon)
+            hh, yi, fi = t_new - ti, y[:, idx], f[:, idx]
+            y_new, f_new, K, err = lockstep.step(self._rhs(fs[idx]), ti, yi, fi,
+                                                 hh, _WV_RTOL, _WV_ATOL)
+            ok = err < 1.0
+            h[idx] = lockstep.next_size(hh, err, rejected[idx])
+            rejected[idx] = ~ok
+            a = idx[ok]
+            t[a], y[:, a], f[:, a] = t_new[ok], y_new[:, ok], f_new[:, ok]
+            if self.steps is not None and ok.all():
+                self.steps.append((ti, hh, yi, (y_new, K)))
+            s, vo, vn, ha = self.sign[a], yi[1, ok], y_new[1, ok], hh[ok]
+            bend = p.F * (p.omega + 0.5 * math.pi * (np.abs(vo) + (p.F + p.f) * ha))
+            search = ((vn * s <= 0.0) | (vo * s < 0.0) | (t_new[ok] >= horizon)
+                      | (s * (vo + fi[1, ok] * ha) <= bend * ha * ha)
+                      | (s * (y_new[0, ok] - target[a]) > -1e-12))
+            sel, c = np.flatnonzero(ok)[search], a[search]
+            if c.size:
+                F = lockstep.dense(self._rhs(fs[c]), ti[sel], hh[sel], yi[:, sel],
+                                   y_new[:, sel], K[:, :, sel])
+                self._t[c], self._h[c], self._y[:, c] = ti[sel], hh[sel], yi[:, sel]
+                self._F[:, :, c] = F
+                if self.steps is not None:
+                    self.steps[-1] = (ti, hh, yi, F)
+                t_v[c], t_x[c] = self._events(c, t_new[sel], target[c], guard[c])
+                live[c] = np.isnan(t_v[c]) & np.isnan(t_x[c]) & (t_new[sel] < horizon)
+                idx = idx[live[idx]]
+        return t_v, t_x
+
+    def _events(self, c, t_end, target, guard):
+        """Velocity zero and wall crossing on the last steps of arcs c."""
+        last, S = self.take(c), _WV_STEP_SAMPLES
+        ts = last._t[:, None] + last._h[:, None] * (np.arange(1, S + 1) / S)
+        ts[:, -1] = t_end
+        vs = last.v(ts.T).T
+        ev = (ts > guard[:, None]) & ((vs == 0.0)
+                                      | ((vs > 0) != (self.sign[c] > 0)[:, None]))
+        r, k = np.arange(len(c)), ev.argmax(axis=1)
+        has, hi, v_hi = ev[r, k], ts[r, k], vs[r, k]
+        t_v = np.where(has & (v_hi == 0.0), hi, np.nan)
+        br = np.flatnonzero(has & (v_hi != 0.0))
         if br.size:
-            arcs, tg = self.take(br), target[br]
-            out[br] = _brentq_lockstep(lambda t, i: arcs.take(i).x(t) - tg[i],
-                                       t_lo[br], t_hi[br])
-        return out
+            lo = np.maximum(np.where(k[br] > 0, ts[br, k[br] - 1], last._t[br]),
+                            guard[br])
+            t_v[br] = last.take(br).polish_velocity_zeros(lo, hi[br])
+        t_stop = np.where(np.isnan(t_v), t_end, t_v)
+        return t_v, last.wall_crossing(target, last._t, t_stop)
 
 
-def next_events(p: Params, arcs: UniformFlightArcs, horizon: float):
-    """``next_event`` for every arc of the bundle: arrays of the event code
-    (HORIZON, IMPACT, VELOCITY_ZERO, or IRREGULAR for grazing contacts and
+def next_events(p: Params, arcs, horizon: float):
+    """``next_event`` for every arc of a ``UniformFlightArcs`` or
+    ``WallVanishingArcs`` bundle: arrays of the event code (HORIZON,
+    IMPACT, VELOCITY_ZERO, or IRREGULAR for grazing contacts and
     zero-velocity impacts), time, position and velocity (the pre-impact
     velocity at an impact)."""
     tie = GRAZE_TIE * p.T
-    t_v = arcs.first_velocity_zero(horizon)
+    t_v, t_x = arcs.event_times(horizon)
     has_v = ~np.isnan(t_v)
     t_stop = np.where(has_v, np.minimum(t_v, horizon), horizon)
     target = np.where(arcs.sign > 0, p.r, p.l)
-    t_x = arcs.wall_crossing(target, arcs.t0, t_stop)
     hit = ~np.isnan(t_x)
     t = np.where(hit, t_x, t_stop)
     x, v = arcs.x(t), arcs.v(t)

@@ -121,7 +121,9 @@ def symmetric_orbit_formula(p: Params, branch: int, m: int = 1) -> SymmetricOrbi
     cos_psi = math.cos(psi)
     v0 = (w / (m * math.pi)) * (p.R - (2.0 * p.F / (w * w)) * cos_psi)
     vmin = _min_flight_velocity(p, psi, v0, m)
-    if v0 <= 0.0 or vmin <= 0.0:
+    # a flight velocity within roundoff of its terms is a tangency to rest
+    size = (w / (m * math.pi)) * (p.R + (2.0 * p.F / (w * w)) * abs(cos_psi))
+    if min(v0, vmin) <= 16.0 * math.ulp(size + 2.0 * p.F / w):
         raise Nonexistence("sticking",
                            f"minimum flight velocity {min(v0, vmin):.6g} <= 0")
     C = v0 - (p.F / w) * math.sin(psi)

@@ -20,10 +20,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import ForceLaw, Params, params_from_dict, params_to_dict
+from .model import Params, params_from_dict, params_to_dict
 from .simulator import SimulationError
-from .strobemap import (BATCH_CELLS, CLASS_CODE, MapClass, period_map,
-                        period_map_batch, period_map_jacobian)
+from .strobemap import BATCH_CELLS, CLASS_CODE, period_map, period_map_batch
+# unused here; a module attribute that perfbench/spans.py wraps by name
+from .strobemap import period_map_jacobian  # noqa: F401
 
 
 class GridError(ValueError):
@@ -187,30 +188,11 @@ def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
             det.copy(), cls.copy())
 
 
-def _classify_point(p: Params, x: float, v: float, t0: float,
-                    event_cap: int) -> tuple[float, int, float, float]:
-    # With the Jacobian, a wall-vanishing arc integrates its variational
-    # system too, and DOP853's step control then moves the image by up to
-    # ~1e-12 against period_map; region cells stay on this integration,
-    # the one the orbit solvers and the half-period symmetry checks use.
-    try:
-        res = period_map_jacobian(p, (x, v), t0, event_cap=event_cap)
-    except SimulationError:
-        return (math.nan, CLASS_CODE[MapClass.UNDEFINED], math.nan, math.nan)
-    return (res.det, CLASS_CODE[res.classification],
-            res.output[0], res.output[1])
-
-
 def _region_chunk(args):
     pd, t0, cells, event_cap = args
-    p = params_from_dict(pd)
-    if p.force_law is ForceLaw.UNIFORM:
-        b = period_map_batch(p, cells[:, 0], cells[:, 1], t0,
-                             event_cap=event_cap)
-        return b.det, b.code, b.out_x, b.out_v
-    out = np.array([_classify_point(p, x, v, t0, event_cap)
-                    for x, v in cells]).reshape(-1, 4)
-    return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+    b = period_map_batch(params_from_dict(pd), cells[:, 0], cells[:, 1], t0,
+                         event_cap=event_cap)
+    return b.det, b.code, b.out_x, b.out_v
 
 
 def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int,
@@ -508,7 +490,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
                 | None = None, nx: int = 61, nv: int = 61,
                 mc_samples: int = 20000, mc_forward: int = 400,
                 forward_periods: int = 5, rng_seed: int = 2024,
-                workers: int = 1, event_cap: int = 100_000) -> IslandAreaResult:
+                event_cap: int = 100_000) -> IslandAreaResult:
     """Area of the island's connected component around ``seed``.
 
     Flood fill over a cell grid (membership: no dissipative event over

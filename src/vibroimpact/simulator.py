@@ -29,8 +29,8 @@ import numpy as np
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force, spatial_envelope)
 from .flight import (HORIZON, IMPACT, IRREGULAR, EventKind, FlightArc,
-                     UniformFlightArc, UniformFlightArcs, WallVanishingArc,
-                     next_event, next_events)
+                     UniformFlightArcs, WallVanishingArcs, _arc, next_event,
+                     next_events)
 
 
 class SimulationError(RuntimeError):
@@ -440,11 +440,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         # --- flight arc -----------------------------------------------------
         if sign == 0:
             raise ContractViolation("internal: flight requested without a sign")
-        if p.force_law is ForceLaw.WALL_VANISHING:
-            arc: FlightArc = WallVanishingArc(p, x, v, t, sign,
-                                              with_transport=jac)
-        else:
-            arc = UniformFlightArc(p, x, v, t, sign)
+        arc = _arc(p, x, v, t, sign, jac)
         ev = next_event(p, arc, t_end)
         if record:
             segments.append(FlightSegment(arc, t, ev.time))
@@ -494,9 +490,10 @@ class BatchRun:
 
 def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
                    t_end: float, event_cap: int) -> BatchRun:
-    """``_advance`` of many uniform-law cells from time t to t_end, in
-    lockstep: every pass resolves the pending velocity zeros and then
-    moves each live cell to its next event.
+    """``_advance`` of many cells from time t to t_end, in lockstep: every
+    pass resolves the pending velocity zeros with the force at each cell
+    (amplitude ``spatial_envelope``) and then moves each live cell to its
+    next event on a ``UniformFlightArcs`` or ``WallVanishingArcs`` bundle.
 
     Cells the lockstep rules do not cover are flagged ``fallback``, to be
     run by ``_advance`` from their initial state: a start on or outside a
@@ -516,13 +513,15 @@ def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
     sticks = np.zeros(n, dtype=np.int64)
     fallback = ~((p.l < x) & (x < p.r))
     live = np.flatnonzero(~fallback)
-    th0 = math.acos(min(1.0, p.f / p.F)) if p.F > p.f else None
+    wv = p.force_law is ForceLaw.WALL_VANISHING
     limit = min(event_cap, LOCKSTEP_EVENTS)
     while live.size:
         # --- interior velocity zeros: turning point or stick -----------
         z = live[v[live] == 0.0]
         if z.size:
-            g = p.F * np.cos(p.omega * tt[z])   # applied_force, uniform law
+            amp = (p.F * np.cos(0.5 * math.pi * x[z]) if wv
+                   else np.full(z.size, p.F))
+            g = amp * np.cos(p.omega * tt[z])   # applied_force
             turn = _turns(g, p.f)
             zt, gt = z[turn], g[turn]
             sign[zt] = np.where(gt > 0, 1.0, -1.0)
@@ -535,9 +534,12 @@ def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
             det[zs] = 0.0
             if p.f == 0.0:
                 fallback[zs] = True
-            elif th0 is None:           # no release: at rest to the end
-                tt[zs], v[zs] = t_end, 0.0
-            else:
+            else:   # stick_release_time per cell; math.acos, as there
+                amp = amp[~turn]
+                rest = zs[amp <= p.f]        # no release: at rest to the end
+                tt[rest], v[rest] = t_end, 0.0
+                zs, amp = zs[amp > p.f], amp[amp > p.f]
+                th0 = np.array([math.acos(min(1.0, p.f / a)) for a in amp.tolist()])
                 left, right = _band_exits(th0, _phase(p, tt[zs]))
                 rightward = right < left
                 t_r = tt[zs] + np.where(rightward, right, left) / p.omega
@@ -551,7 +553,8 @@ def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
             if not live.size:
                 break
         # --- flight to the next event -------------------------------------
-        arcs = UniformFlightArcs(p, x[live], v[live], tt[live], sign[live])
+        bundle = WallVanishingArcs if wv else UniformFlightArcs
+        arcs = bundle(p, x[live], v[live], tt[live], sign[live])
         kind, te, xe, ve = next_events(p, arcs, t_end)
         fallback[live[kind == IRREGULAR]] = True
         moved = live[kind != IRREGULAR]

@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ContractViolation, ForceLaw, Params, PhaseState
+from .model import ContractViolation, Params, PhaseState
 from .simulator import (RunResult, SimulationError, _advance, _advance_batch,
                         _turning_ratio)
 
@@ -185,13 +185,13 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
                      event_cap: int = 1_000_000) -> MapBatch:
     """``period_map`` of many states (xs[i], vs[i]) at phase time t0.
 
-    Under the uniform law the cells advance in lockstep
-    (``_advance_batch``, in chunks of BATCH_CELLS) with the scalar
-    engine's rules and floating-point order, so each cell's image, det,
-    class and counts equal those of ``period_map``.  Cells the lockstep
-    kernel hands back (wall starts, grazing, sticking without friction,
-    the event cap), and all cells of other force laws, are mapped by
-    ``period_map`` one at a time.  No Jacobian is formed.
+    The cells advance in lockstep (``_advance_batch``, in chunks of
+    BATCH_CELLS) with the scalar engine's rules and floating-point order,
+    so each cell's image, det, class and counts equal those of
+    ``period_map``, under either force law.  Cells the lockstep kernel
+    hands back (wall starts, grazing, sticking without friction, the event
+    cap) are mapped by ``period_map`` one at a time.  No Jacobian is
+    formed.
     """
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -203,20 +203,16 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
     t_end = t0 + p.T
     for lo in range(0, n, BATCH_CELLS):
         sl = slice(lo, lo + BATCH_CELLS)
-        if p.force_law is ForceLaw.UNIFORM:
-            run = _advance_batch(p, xs[sl], vs[sl], t0, t_end, event_cap)
-            out_x[sl], out_v[sl], det[sl] = run.x, run.v, run.det
-            code[sl] = np.where(np.abs(run.det - 1.0) <= DET_TOL,
-                                CLASS_CODE[MapClass.AREA_PRESERVING],
-                                np.where(np.abs(run.det) <= DET_TOL,
-                                         CLASS_CODE[MapClass.SINGULAR],
-                                         CLASS_CODE[MapClass.CONTRACTING]))
-            counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
-                run.impacts, run.turnings, run.sticks)
-            rare = lo + np.flatnonzero(run.fallback)
-        else:
-            rare = range(lo, min(lo + BATCH_CELLS, n))
-        for i in rare:
+        run = _advance_batch(p, xs[sl], vs[sl], t0, t_end, event_cap)
+        out_x[sl], out_v[sl], det[sl] = run.x, run.v, run.det
+        code[sl] = np.where(np.abs(run.det - 1.0) <= DET_TOL,
+                            CLASS_CODE[MapClass.AREA_PRESERVING],
+                            np.where(np.abs(run.det) <= DET_TOL,
+                                     CLASS_CODE[MapClass.SINGULAR],
+                                     CLASS_CODE[MapClass.CONTRACTING]))
+        counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
+            run.impacts, run.turnings, run.sticks)
+        for i in lo + np.flatnonzero(run.fallback):
             try:
                 res = period_map(p, (xs[i], vs[i]), t0, event_cap=event_cap)
             except SimulationError:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
-                         classify_regions, make_params, period_map)
+                         classify_regions, make_params, period_map,
+                         sticking_band)
 from vibroimpact.simulator import LOCKSTEP_EVENTS, _advance_batch
 from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 
@@ -24,6 +25,19 @@ PARAMS = (
     make_params(F=1.0, f=0.005, omega=1.0, l=0.0, r=0.8),
     # friction above the force: every velocity zero is a permanent stop
     make_params(F=1.0, f=1.2, omega=1.0, l=-1.0, r=1.0),
+)
+
+# F cos(pi x / 2) cos(omega t) between walls at -1 and 1
+WV_PARAMS = (
+    # recipes/wall_vanishing.cfg
+    make_params(F=1.0, f=0.1, omega=2.0 * math.pi, l=-1.0, r=1.0,
+                force_law="wall_vanishing"),
+    # strong forcing and friction: turnings and sticks in most cells
+    make_params(F=2.0, f=0.5, omega=3.0, l=-1.0, r=1.0,
+                force_law="wall_vanishing"),
+    # frictionless: a velocity zero sticks only where the force vanishes
+    make_params(F=1.0, f=0.0, omega=2.0 * math.pi, l=-1.0, r=1.0,
+                force_law="wall_vanishing"),
 )
 
 
@@ -147,10 +161,68 @@ def test_batch_chunks_are_seamless():
         np.testing.assert_array_equal(a[BATCH_CELLS - 5:], b)
 
 
-def test_wall_vanishing_law_goes_through_scalar_map(wall_vanishing):
-    xs = np.array([0.0, 0.3, -0.6])
-    vs = np.array([0.9, -0.4, 0.0])
-    assert_matches_scalar(wall_vanishing, xs, vs, 0.0)
+def assert_equals_scalar(p, xs, vs, t0):
+    """The batch gives the scalar map's numbers, bit for bit."""
+    b = period_map_batch(p, xs, vs, t0)
+    got = np.column_stack([b.out_x, b.out_v, b.det, b.code, b.counts])
+    np.testing.assert_array_equal(got, scalar_rows(p, xs, vs, t0))
+    return b
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(WV_PARAMS),
+       cells=st.lists(st.tuples(st.floats(-1.0 + 1e-6, 1.0 - 1e-6),
+                                st.floats(-3.0, 3.0)), min_size=1, max_size=10),
+       t0=st.floats(0.0, 10.0), zero_every=st.integers(2, 5),
+       rest=st.floats(0.0, 1.0))
+def test_wall_vanishing_batch_matches_scalar(p, cells, t0, zero_every, rest):
+    """Under the wall-vanishing law too, starts in flight, at rest (a
+    turning or a stick first) and at rest inside the rest band."""
+    xs, vs = np.array(cells).T
+    vs[::zero_every] = 0.0
+    eta = sticking_band(p).eta
+    if eta < 1.0:
+        x_rest = min(eta + (1.0 - eta) * rest, 1.0 - 1e-6)
+        xs, vs = np.append(xs, [x_rest, -x_rest]), np.append(vs, [0.0, 0.0])
+    assert_equals_scalar(p, xs, vs, t0)
+
+
+def test_wall_vanishing_batch_covers_event_kinds():
+    """Impacts, turnings, sticks and permanent rest all occur in the
+    lockstep kernel under the wall-vanishing law, with no fallback."""
+    rng = np.random.default_rng(17)
+    seen = np.zeros(4, dtype=np.int64)
+    for p in WV_PARAMS[:2]:
+        xs = rng.uniform(-0.999, 0.999, 150)
+        vs = rng.uniform(-3.0, 3.0, 150)
+        vs[:50] = 0.0
+        xs[:10] = rng.uniform(sticking_band(p).eta, 0.999, 10)
+        t0 = rng.uniform(0.0, p.T)
+        b = assert_equals_scalar(p, xs, vs, t0)
+        assert np.all(b.out_x[:10] == xs[:10]) and np.all(b.out_v[:10] == 0.0)
+        assert not _advance_batch(p, xs, vs, t0, t0 + p.T, 10_000).fallback.any()
+        seen += b.counts.sum(axis=0)
+    assert np.all(seen[:3] > 0), seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(-1.0 + 1e-6, 1.0 - 1e-6),
+                                st.floats(-3.0, 3.0)), min_size=1, max_size=24),
+       t0=st.floats(0.0, 10.0), zero_every=st.integers(2, 7))
+def test_wall_vanishing_batch_sigma_equivariance(cells, t0, zero_every):
+    """P(sigma z; t0 + T/2) = sigma P(z; t0) to 1e-12 under the recipe's
+    wall-vanishing law: both sides take the same integration steps up to
+    roundoff of the shifted phase."""
+    p = WV_PARAMS[0]
+    xs, vs = np.array(cells).T
+    vs[::zero_every] = 0.0
+    a = period_map_batch(p, xs, vs, t0)
+    b = period_map_batch(p, -xs, -vs, t0 + 0.5 * p.T)
+    np.testing.assert_array_equal(a.code, b.code)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_allclose(a.out_x, -b.out_x, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(a.out_v, -b.out_v, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(a.det, b.det, rtol=0.0, atol=1e-12)
 
 
 # The wall-pressed set is left out: its chattering impact-turning cascades

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from vibroimpact import (OracleError, PhaseState, make_params,
                          oracle_simulate, period_map, simulate)
 from vibroimpact.orbits import symmetric_orbit_formula, symmetric_orbit_state
+from vibroimpact.strobemap import period_map_batch
 
 
 def test_drift_is_exact():
@@ -73,6 +75,27 @@ def test_wall_vanishing_scalar_path(wall_vanishing):
     assert orc.signature() == tr.event_signature()
     assert orc.final.x == pytest.approx(tr.final.x, abs=1e-6)
     assert orc.final.v == pytest.approx(tr.final.v, abs=1e-5)
+
+
+def test_wall_vanishing_batch_matches_oracle(wall_vanishing):
+    """The lockstep wall-vanishing map against the RK4 oracle on cells with
+    impacts, turnings and stick-slip: the same events, images to 1e-9."""
+    p = wall_vanishing
+    rng = np.random.default_rng(4)
+    xs, vs = rng.uniform(-0.95, 0.95, 24), rng.uniform(-2.5, 2.5, 24)
+    vs[::3] = 0.0
+    b = period_map_batch(p, xs, vs, 0.3)
+    seen = set()
+    for i in range(len(xs)):
+        orc = oracle_simulate(p, PhaseState(xs[i], vs[i], 0.3), p.T, p.T / 2000)
+        sig = orc.signature()
+        seen.update(sig)
+        assert b.counts[i].tolist() == [sig.count("R") + sig.count("L"),
+                                        sig.count("T"), sig.count("S"),
+                                        sig.count("G")]
+        assert abs(orc.final.x - b.out_x[i]) < 1e-9
+        assert abs(orc.final.v - b.out_v[i]) < 1e-9
+    assert {"R", "L", "T", "S"} <= seen
 
 
 def test_wall_vanishing_turning_then_quick_stop(wall_vanishing):

@@ -117,6 +117,9 @@ def _wall_aware_dist(p, a, b):
 # fell one ulp outside the walls, and a pre-impact state gave 3 impacts
 @example(F=1.0, ff=2.22e-16, om=1.0, R=3.0, l=0.0)
 @example(F=1.0, ff=2.22e-16, om=0.5, R=5.0, l=0.0)
+# at the sticking margin R omega^2 = 2F the slow branch departs at
+# v0 = 1.4e-16, roundoff of 0: it sticks and has no such orbit
+@example(F=1.5, ff=2.22e-16, om=1.0, R=3.0, l=2.9)
 @settings(max_examples=40, deadline=None)
 def test_formula_states_are_fixed_points(F, ff, om, R, l):
     """Whenever the existence and non-sticking conditions hold, the
@@ -137,6 +140,31 @@ def test_formula_states_are_fixed_points(F, ff, om, R, l):
         if ff > 1e-3:   # interior impact phases: the count is exact
             assert c["impacts_left"] + c["impacts_right"] == 2
         assert c["turnings"] == 0 and c["sticks"] == 0
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_monodromy_trace_closed_form(fast, wide, m):
+    """The symmetric orbit's trace is (h c - 2)^2 - 2, with h = m pi / omega
+    and c = 2 F cos(psi + m pi) / v0, on both branches."""
+    for p in (fast, wide.replace_friction(0.01)):
+        for branch in (1, 2):
+            fo = symmetric_orbit_formula(p, branch, m)
+            st0 = symmetric_orbit_state(p, fo, 0.0)
+            h = m * math.pi / p.omega
+            c = 2.0 * p.F * math.cos(fo.psi + m * math.pi) / fo.v0
+            tr = period_map_jacobian(p, (st0.x, st0.v), 0.0, m).trace
+            assert tr == pytest.approx((h * c - 2.0) ** 2 - 2.0, rel=1e-12)
+
+
+def test_ac01_reference_pair_is_not_attainable(fast):
+    """At the AC-01 parameters the saddle's trace is 3.088112, while the
+    reference multipliers (0.3159, 3.1659) need 3.4818 (det 1): AC-01's
+    reference pair cannot hold."""
+    fo = symmetric_orbit_formula(fast, 2)
+    h = math.pi / fast.omega
+    tr = (h * 2.0 * fast.F * math.cos(fo.psi + math.pi) / fo.v0 - 2.0) ** 2 - 2.0
+    assert tr == pytest.approx(3.088112, abs=1e-6)
+    assert abs(tr - (0.3159 + 3.1659)) > 2 * 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from vibroimpact.strobemap import (reflection_factor, results_csv,
                                    turning_factor)
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
-from tests.test_batch import FAST, PARAMS
+from tests.test_batch import FAST, PARAMS, WV_PARAMS
 
 
 def test_reflection_factor_entries():
@@ -263,6 +263,19 @@ def test_friction_column_through_each_event_kind(p, state, t0, k, kinds):
     res = period_map_jacobian(p, state, t0, k)
     assert set(res.signature) == kinds
     assert_column_matches(res, fd_friction_column(p, state, t0, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(WV_PARAMS), x=st.floats(-0.999, 0.999),
+       v=st.floats(-3.0, 3.0), t0=st.floats(0.0, 10.0),
+       at_rest=st.booleans(), k=st.integers(1, 2))
+def test_wall_vanishing_jacobian_leaves_the_image(p, x, v, t0, at_rest, k):
+    """The variational block stays out of the step control, so the map
+    with and without the Jacobian takes the same steps: image, events and
+    det agree bit for bit."""
+    z = (x, 0.0 if at_rest else v)
+    a, b = period_map(p, z, t0, k), period_map_jacobian(p, z, t0, k)
+    assert (a.output, a.signature, a.det) == (b.output, b.signature, b.det)
 
 
 def test_friction_column_only_under_uniform_law(wall_vanishing, fast):
