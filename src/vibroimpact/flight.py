@@ -19,7 +19,10 @@ change, sampled on the step's dense polynomial, or the wall ahead; roots
 are polished on that polynomial.  ``WallVanishingArc`` is its n = 1 call.
 
 ``UniformFlightArcs`` runs the uniform-law search on many arcs at once, in
-lockstep on numpy arrays; ``next_events`` resolves either bundle.
+lockstep on numpy arrays: the knots of every window of every arc (window
+edges and acceleration zeros) are sorted into one array and the velocity
+is evaluated on all of them in one pass.  ``next_events`` resolves either
+bundle.
 """
 
 from __future__ import annotations
@@ -390,9 +393,16 @@ class UniformFlightArcs(_LockstepArcs):
         self._cos0 = np.cos(p.omega * t)
 
     def v(self, t):
+        # SinusoidArc.v in its floating-point order, computed in place: the
+        # knot scan calls it on a (knots, arcs) array
+        out = np.sin(self.omega * t)
+        out -= self._sin0
+        out *= self.a_cos / self.omega
+        out += self.v0
         dt = t - self.t0
-        return (self.v0 + (self.a_cos / self.omega) * (np.sin(self.omega * t) - self._sin0)
-                + self.a_k * dt)
+        dt *= self.a_k
+        out += dt
+        return out
 
     def x(self, t):
         dt = t - self.t0
@@ -409,60 +419,48 @@ class UniformFlightArcs(_LockstepArcs):
         sub.a_cos, sub.omega, sub.params = self.a_cos, self.omega, self.params
         return sub
 
-    def _knots(self, a, b, guard) -> np.ndarray:
-        """Per arc: a, the acceleration zeros in (a, b) past the guard in
-        ascending order, then b, padded with b to a common width."""
-        p = self.params
-        cols = [a[:, None]]
+    def first_velocity_zero(self, t_hi: float) -> np.ndarray:
+        """First root of v in (t0, t_hi] per arc (nan: none), in one pass
+        over a sorted (knots, arcs) array: the window edges, chained by the
+        scalar's additions, and the acceleration zeros by the scalar's
+        formula.  Knots the scalar walk leaves out change nothing: zeros up
+        to the guard are skipped as it skips edges there, a zero on an edge
+        repeats the edge's value, and zeros past t_hi are moved onto it."""
+        p, w, n = self.params, self.omega, len(self.t0)
+        window = 0.5 * math.pi / w
+        guard = self.t0 + np.where(self.v0 == 0.0, 1e-7 * TWO_PI / w, 0.0)
+        knots = [self.t0, np.minimum(self.t0 + window, t_hi)]
+        while (knots[-1] < t_hi).any():
+            knots.append(np.minimum(knots[-1] + window, t_hi))
         if p.F != 0.0 and p.f / p.F <= 1.0:
             # the zeros solve cos(omega t) = sign f / F: two phases per sign
             base = np.where(self.sign > 0, math.acos(min(1.0, p.f / p.F)),
                             math.acos(max(-1.0, -p.f / p.F)))
-            sg = np.stack([base, -base], axis=1)[:, :, None]
-            w = self.omega
-            n = np.floor((w * a[:, None, None] - sg) / (2.0 * math.pi))
-            ts = ((sg + 2.0 * math.pi * (n + np.arange(3.0))) / w).reshape(len(a), 6)
-            ok = (a[:, None] < ts) & (ts < b[:, None]) & (ts > guard[:, None])
-            width = int(ok.sum(axis=1).max())
-            if width:
-                cols.append(np.sort(np.where(ok, ts, b[:, None]), axis=1)[:, :width])
-        cols.append(b[:, None])
-        return np.hstack(cols)
-
-    def first_velocity_zero(self, t_hi: float) -> np.ndarray:
-        """First root of v in (t0, t_hi] per arc (nan: none)."""
-        w = self.omega
-        window = 0.5 * math.pi / w
-        n = len(self.t0)
-        guard = self.t0 + np.where(self.v0 == 0.0, 1e-7 * TWO_PI / w, 0.0)
-        a = self.t0.copy()
-        va_all = np.where(self.v0 == 0.0, self.sign,
-                          np.where(self.v0 > 0, 1.0, -1.0))
-        root = np.full(n, np.nan)
-        lo = np.full(n, np.nan)
-        hi = np.full(n, np.nan)
-        idx = np.flatnonzero(a < t_hi)
-        while idx.size:
-            arcs, g, va = self.take(idx), guard[idx], va_all[idx]
-            b = np.minimum(a[idx] + window, t_hi)
-            knots = arcs._knots(a[idx], b, g)
-            open_ = np.ones(idx.size, dtype=bool)
-            for j in range(1, knots.shape[1]):
-                k2 = knots[:, j]
-                v2 = arcs.v(k2)
-                live = open_ & (k2 > g)
-                hit = live & (v2 == 0.0)
-                flip = live & ~hit & ((v2 > 0) != (va > 0))
-                root[idx[hit]] = k2[hit]
-                lo[idx[flip]] = np.maximum(knots[flip, j - 1], g[flip])
-                hi[idx[flip]] = k2[flip]
-                open_ &= ~(hit | flip)
-                va = np.where(live, v2, va)
-            a[idx] = b
-            va_all[idx] = va
-            idx = idx[open_ & (b < t_hi)]
-        br = np.flatnonzero(~np.isnan(lo))
-        root[br] = self.take(br).polish_velocity_zeros(lo[br], hi[br])
+            sg = np.stack([base, -base])
+            n0 = np.floor((w * self.t0 - sg) / (2.0 * math.pi))
+            # k from the zero at or before t0: ceil(span / T) + 2 of them
+            # reach past t_hi
+            span = float(np.max(t_hi - self.t0, initial=0.0))
+            ks = np.arange(math.ceil(span * w / (2.0 * math.pi)) + 2.0)
+            knots.extend(((sg + 2.0 * math.pi * (n0 + ks[:, None, None])) / w
+                          ).reshape(2 * len(ks), n))
+        knots = np.array(knots)
+        np.minimum(knots, t_hi, out=knots)
+        knots.sort(axis=0)
+        vk = self.v(knots)
+        live = knots > guard      # a suffix of each sorted column
+        up = vk > 0
+        # the sign before each knot: the last live knot's, else the departure's
+        departs_up = np.where(self.v0 == 0.0, self.sign > 0, self.v0 > 0)
+        up_before = np.where(live[:-1], up[:-1], departs_up)
+        ev = live[1:] & ((vk[1:] == 0.0) | (up[1:] != up_before))
+        j, r = ev.argmax(axis=0) + 1, np.arange(n)
+        has, hi, v_hi = ev[j - 1, r], knots[j, r], vk[j, r]
+        root = np.where(has & (v_hi == 0.0), hi, np.nan)
+        br = np.flatnonzero(has & (v_hi != 0.0))
+        if br.size:
+            lo = np.maximum(knots[j[br] - 1, br], guard[br])
+            root[br] = self.take(br).polish_velocity_zeros(lo, hi[br])
         return root
 
     def event_times(self, horizon: float):

@@ -74,10 +74,6 @@ class Params:
                                                 self.r, self.force_law))
 
 
-# Spec alias: the validated-parameter type.
-ValidatedParams = Params
-
-
 @dataclass(frozen=True)
 class PhaseState:
     """A point of the extended phase space: position, velocity, absolute time."""
@@ -85,15 +81,6 @@ class PhaseState:
     x: float
     v: float
     t: float = 0.0
-
-
-@dataclass(frozen=True)
-class ForceSample:
-    """Instantaneous applied force, plus the rest-band edge for the
-    wall-vanishing law (None under the uniform law)."""
-
-    value: float
-    wall_vanishing_eta: float | None
 
 
 @dataclass(frozen=True)
@@ -149,13 +136,6 @@ def spatial_envelope(p: Params, x: float) -> float:
 def applied_force(p: Params, x: float, t: float) -> float:
     """External force at (x, t) under the selected law."""
     return spatial_envelope(p, x) * math.cos(p.omega * t)
-
-
-def sample_force(p: Params, x: float, t: float) -> ForceSample:
-    eta = None
-    if p.force_law is ForceLaw.WALL_VANISHING and p.F > 0.0:
-        eta = sticking_band(p).eta if p.f < p.F else 0.0
-    return ForceSample(value=applied_force(p, x, t), wall_vanishing_eta=eta)
 
 
 def sticking_band(p: Params) -> StickingBand:

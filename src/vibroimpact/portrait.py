@@ -504,10 +504,6 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
         hw_v = max(1.5, 0.3 * abs(v0))
         box = (p.l, p.r, v0 - hw_v, v0 + hw_v)
     bx0, bx1, bv0, bv1 = box
-    if not _island_cells(p, [x0], [v0], t0, n_periods, event_cap, box)[0]:
-        raise IslandSeedError(f"seed ({x0}, {v0}) is not inside an island "
-                              f"(dissipative event or box escape within "
-                              f"{n_periods} periods)")
     dx = (bx1 - bx0) / nx
     dv = (bv1 - bv0) / nv
     xs = bx0 + dx * (np.arange(nx) + 0.5)
@@ -516,9 +512,15 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     ic = min(max(int((x0 - bx0) / dx), 0), nx - 1)
     jc = min(max(int((v0 - bv0) / dv), 0), nv - 1)
 
-    # every box cell tested in one batch (v-major, x fastest)
-    tested = _island_cells(p, np.tile(xs, nv), np.repeat(vs, nx), t0,
-                           n_periods, event_cap, box).reshape(nv, nx)
+    # every box cell (v-major, x fastest) and then the seed, in one batch
+    tested = _island_cells(p, np.append(np.tile(xs, nv), x0),
+                           np.append(np.repeat(vs, nx), v0), t0, n_periods,
+                           event_cap, box)
+    if not tested[-1]:
+        raise IslandSeedError(f"seed ({x0}, {v0}) is not inside an island "
+                              f"(dissipative event or box escape within "
+                              f"{n_periods} periods)")
+    tested = tested[:-1].reshape(nv, nx)
 
     if not tested[jc, ic]:
         # the seed's own cell center may sit outside; look at the neighbors

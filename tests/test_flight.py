@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, EventKind, PhaseState, make_arc,
                          make_params, next_event)
+from vibroimpact.flight import UniformFlightArc, UniformFlightArcs
 
 
 def test_force_free_drift_arc():
@@ -131,3 +132,98 @@ def test_wall_vanishing_arc_events(wall_vanishing):
         assert abs(arc.x(ev.time) - 1.0) < 1e-10
     else:
         assert abs(arc.v(ev.time)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the lockstep velocity-zero scan against the scalar arc
+# ---------------------------------------------------------------------------
+
+def assert_scan_matches_scalar(p, t0, v0, sign, t_hi):
+    """``UniformFlightArcs.first_velocity_zero`` of a bundle equals
+    ``UniformFlightArc.first_velocity_zero`` arc by arc, bit for bit (nan
+    for None).  The start position does not enter the scan."""
+    t0, v0, sign = (np.asarray(a, dtype=float) for a in (t0, v0, sign))
+    got = UniformFlightArcs(p, np.zeros_like(t0), v0, t0,
+                            sign).first_velocity_zero(t_hi)
+    want = [UniformFlightArc(p, 0.0, v, t, int(s)).first_velocity_zero(t_hi)
+            for t, v, s in zip(t0.tolist(), v0.tolist(), sign.tolist())]
+    np.testing.assert_array_equal(
+        got, [math.nan if w is None else w for w in want])
+    return got
+
+
+def _signs(p, t0, v0):
+    """The velocity's sign, or at rest the applied force's."""
+    return np.where(v0 != 0.0, np.sign(v0),
+                    np.where(np.cos(p.omega * t0) >= 0.0, 1.0, -1.0))
+
+
+def test_scan_departures_from_rest():
+    """v0 = 0, so the departure guard applies; the last two arcs leave
+    at the stick release times, where the acceleration vanishes too."""
+    p = make_params(F=1.0, f=0.3, omega=1.0, l=-10.0, r=10.0)
+    t0 = np.append(np.linspace(0.0, p.T, 40, endpoint=False),
+                   [p.T - math.acos(0.3), math.acos(-0.3)])
+    v0 = np.zeros_like(t0)
+    sign = np.append(_signs(p, t0[:-2], v0[:-2]), [1.0, -1.0])
+    got = assert_scan_matches_scalar(p, t0, v0, sign, p.T + 0.3)
+    assert np.isfinite(got).any() and np.isnan(got).any()
+
+
+def test_scan_horizon_inside_the_first_window():
+    """t_hi - t0 < T/4 on every arc, down to below the departure guard."""
+    p = make_params(F=1.0, f=0.2, omega=2.0, l=-10.0, r=10.0)
+    t_hi = 3.0
+    t0 = t_hi - np.append(np.linspace(0.25 * p.T, 0.0, 24, endpoint=False),
+                          1e-9)
+    v0 = np.linspace(-0.3, 0.3, 25)
+    v0[::3] = 0.0
+    got = assert_scan_matches_scalar(p, t0, v0, _signs(p, t0, v0), t_hi)
+    assert np.isfinite(got).any() and np.isnan(got).any()
+
+
+def test_scan_acceleration_zeros_on_window_edges():
+    """f = 0, t0 = 0, omega = 1: the acceleration zeros pi/2 + k pi are
+    window edges too."""
+    p = make_params(F=1.0, f=0.0, omega=1.0, l=-10.0, r=10.0)
+    assert math.acos(0.0) / p.omega == 0.5 * math.pi / p.omega
+    v0 = np.arange(-15, 16) / 10.0
+    t0 = np.zeros_like(v0)
+    got = assert_scan_matches_scalar(p, t0, v0, _signs(p, t0, v0), 2.0 * p.T)
+    # |v0| > F / omega never turns back
+    assert np.array_equal(np.isnan(got), np.abs(v0) > 1.0)
+
+
+def test_scan_without_acceleration_zeros():
+    """f > F: the acceleration never vanishes, the knots are the edges."""
+    p = make_params(F=1.0, f=1.2, omega=1.5, l=-10.0, r=10.0)
+    t0 = np.linspace(0.0, 4.0, 21)
+    v0 = np.linspace(-2.0, 2.0, 21)
+    got = assert_scan_matches_scalar(p, t0, v0, _signs(p, t0, v0), 5.0)
+    assert np.isfinite(got).any() and np.isnan(got).any()
+
+
+SCAN_PARAMS = (
+    make_params(F=1.0, f=0.05, omega=2.0 * math.pi, l=-1.0, r=1.0),
+    make_params(F=1.0, f=0.0, omega=1.0, l=0.0, r=0.8),
+    make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6),
+    make_params(F=1.0, f=1.0, omega=3.0, l=-1.0, r=1.0),
+    make_params(F=1.0, f=1.2, omega=1.0, l=-1.0, r=1.0),
+    make_params(F=0.0, f=0.1, omega=1.0, l=-1.0, r=1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(SCAN_PARAMS),
+       arcs=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0),
+                               st.booleans(), st.sampled_from([-1.0, 1.0])),
+                     min_size=1, max_size=32),
+       t_hi=st.floats(0.0, 12.0))
+def test_scan_matches_scalar_mixed(p, arcs, t_hi):
+    """A bundle mixing starts from rest and in flight, horizons from zero
+    to 1.5 periods, friction below, at and above the force, and no force."""
+    ahead, v0, rest, s = (np.array(c) for c in zip(*arcs))
+    t0 = t_hi - ahead * p.T
+    v0 = np.where(rest, 0.0, v0)
+    assert_scan_matches_scalar(p, t0, v0, np.where(v0 != 0.0, np.sign(v0), s),
+                               t_hi)

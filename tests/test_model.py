@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from vibroimpact import (ForceLaw, OscillatorParams, ParameterError,
                          applied_force, make_params, params_from_dict,
                          params_from_json, params_from_text, params_to_dict,
-                         params_to_json, params_to_text, sample_force,
-                         sticking_band, validate_params)
+                         params_to_json, params_to_text, sticking_band,
+                         validate_params)
 
 
 def test_validate_basic():
@@ -91,16 +91,6 @@ def test_sticking_band_uniform_is_error():
     p = make_params(F=1.0, f=0.1, omega=1.0, l=0.0, r=1.0)
     with pytest.raises(ParameterError):
         sticking_band(p)
-
-
-def test_sample_force():
-    p = make_params(F=1.0, f=0.1, omega=1.0, l=-1.0, r=1.0,
-                    force_law="wall_vanishing")
-    s = sample_force(p, 0.5, 0.0)
-    assert s.value == pytest.approx(math.cos(0.25 * math.pi))
-    assert s.wall_vanishing_eta == pytest.approx((2 / math.pi) * math.acos(0.1))
-    pu = make_params(F=1.0, f=0.1, omega=1.0, l=0.0, r=1.0)
-    assert sample_force(pu, 0.5, 0.0).wall_vanishing_eta is None
 
 
 @given(x=st.floats(-1.0, 1.0), t=st.floats(-50.0, 50.0),

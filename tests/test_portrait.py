@@ -296,6 +296,25 @@ def test_island_area_and_forward_consistency():
     assert abs(res.mc_area - res.area) < 3 * res.stderr + res.cell_area * res.boundary_cells
 
 
+def test_island_area_maps_the_seed_with_the_grid(monkeypatch):
+    """One lockstep batch per period: the seed rides in the grid's batch,
+    so no call maps a single state."""
+    from vibroimpact import portrait
+    sizes, real = [], portrait.period_map_batch
+
+    def counting(p, xs, vs, *args, **kwargs):
+        sizes.append(len(xs))
+        return real(p, xs, vs, *args, **kwargs)
+
+    monkeypatch.setattr(portrait, "period_map_batch", counting)
+    p, t0, center, box = _fast_island_setup(0.1)
+    island_area(p, (center.x, center.v), t0=t0, n_periods=40, box=box,
+                nx=15, nv=15, mc_samples=2000, mc_forward=60,
+                forward_periods=3)
+    assert 0 < len(sizes) <= 40 + 3
+    assert min(sizes) > 1
+
+
 def test_island_area_rejects_non_island_seed(fast):
     with pytest.raises(IslandSeedError):
         island_area(fast, (0.0, 0.2), n_periods=50, nx=21, nv=21)
