@@ -1,12 +1,9 @@
 """Event-driven simulation and analysis of a periodically forced particle
 bouncing elastically between rigid walls with dry friction."""
 
-from .model import (ContractViolation, ForceLaw, OscillatorParams,
-                    ParameterError, Params, PhaseState, StickingBand,
-                    applied_force, make_params, params_from_dict,
-                    params_from_json, params_from_text, params_to_dict,
-                    params_to_json, params_to_text, sticking_band,
-                    validate_params)
+from .model import (ContractViolation, ForceLaw, ParameterError, Params,
+                    PhaseState, StickingBand, applied_force, make_params,
+                    params_from_dict, params_to_dict, sticking_band)
 from .flight import Event, EventKind, FlightArc, make_arc, next_event
 from .simulator import (ResolvedEvent, ResolvedKind, SimulationError,
                         StickInterval, Trajectory, resolve_impact,

@@ -55,10 +55,6 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _params(cfg: dict) -> Params:
-    return params_from_dict(cfg["params"])
-
-
 def _grid_from(cfg: dict, args, p: Params) -> GridSpec:
     g = dict(cfg.get("grid", {}))
 
@@ -100,7 +96,7 @@ def _write(path: str, content: str | bytes) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     run = cfg.get("run", {})
     periods = args.periods if args.periods is not None else int(run.get("periods", 0))
     duration = args.duration if args.duration is not None else \
@@ -132,7 +128,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_portrait(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     grid = _grid_from(cfg, args, p)
     workers = args.workers or (os.cpu_count() or 1)
     if args.mode == "regions":
@@ -154,7 +150,7 @@ def cmd_portrait(args) -> int:
 
 def cmd_continue(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     run = cfg.get("run", {})
     branch = args.branch if args.branch is not None else int(run.get("branch", 1))
     k = args.k if args.k is not None else int(run.get("k", 1))
@@ -179,7 +175,7 @@ def cmd_continue(args) -> int:
 
 def cmd_periodic(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     try:
         orb = find_periodic(p, (args.x0, args.v0), args.k, args.t0)
     except (OrbitError, SimulationError) as exc:
@@ -201,7 +197,7 @@ def cmd_periodic(args) -> int:
 
 def cmd_lift_check(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     rep = lift_conjugacy_check(p, PhaseState(args.x0, args.v0, args.t0),
                                args.periods * p.T, n_samples=args.samples)
     if rep.applicable:
@@ -214,7 +210,7 @@ def cmd_lift_check(args) -> int:
 
 def cmd_regions_invariance(args) -> int:
     cfg = load_config(args.config)
-    p = _params(cfg)
+    p = params_from_dict(cfg["params"])
     grid = _grid_from(cfg, args, p)
     workers = args.workers or (os.cpu_count() or 1)
     rg = classify_regions(p, grid, workers=workers)
@@ -241,6 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(sp):
         sp.add_argument("--config", required=True, help="INI or JSON config")
 
+    def add_grid(sp):
+        """Grid flags; unset ones fall back to the config's [grid] section."""
+        sp.add_argument("--nx", type=int)
+        sp.add_argument("--nv", type=int)
+        sp.add_argument("--x-range", type=lambda s: tuple(float(v) for v in s.split(",")))
+        sp.add_argument("--v-range", type=lambda s: tuple(float(v) for v in s.split(",")))
+        sp.add_argument("--t0", type=float)
+        sp.add_argument("--workers", type=int, default=0,
+                        help="parallel workers (default: cpu count)")
+
     sp = sub.add_parser("simulate", help="run one trajectory, write event log and samples")
     add_config(sp)
     sp.add_argument("--x0", type=float)
@@ -255,16 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("portrait", help="grid evaluation: orbit cloud or region map")
     add_config(sp)
     sp.add_argument("--mode", choices=("cloud", "regions"), default="cloud")
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--nv", type=int)
-    sp.add_argument("--x-range", type=lambda s: tuple(float(v) for v in s.split(",")))
-    sp.add_argument("--v-range", type=lambda s: tuple(float(v) for v in s.split(",")))
+    add_grid(sp)
     sp.add_argument("--iterations", type=int)
     sp.add_argument("--transient", type=int)
-    sp.add_argument("--t0", type=float)
     sp.add_argument("--tile", action="store_true", help="also write the binary tile")
-    sp.add_argument("--workers", type=int, default=0,
-                    help="parallel workers (default: cpu count)")
     sp.add_argument("--out-prefix", default="portrait")
     sp.set_defaults(fn=cmd_portrait)
 
@@ -299,12 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("regions-invariance",
                         help="forward-invariance test of the contracting region")
     add_config(sp)
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--nv", type=int)
-    sp.add_argument("--x-range", type=lambda s: tuple(float(v) for v in s.split(",")))
-    sp.add_argument("--v-range", type=lambda s: tuple(float(v) for v in s.split(",")))
-    sp.add_argument("--t0", type=float)
-    sp.add_argument("--workers", type=int, default=0)
+    add_grid(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_regions_invariance)
     return ap

@@ -1,15 +1,15 @@
 """Domain types, parameter validation and the force-law abstraction.
 
 Everything downstream (flight arcs, the event-driven simulator, the
-stroboscopic map, orbit solvers) works on the immutable ``Params`` object
-produced by :func:`validate_params`.
+stroboscopic map, orbit solvers) works on the immutable ``Params`` object,
+which validates itself when it is built (``Params(...)``,
+:func:`make_params` or :func:`params_from_dict`).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -32,14 +32,19 @@ class ContractViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OscillatorParams:
-    """Raw physical parameters of the forced impact oscillator.
+class Params:
+    """Oscillator parameters, validated when built (ParameterError).
 
     F      : forcing amplitude (force per unit mass), >= 0
     f      : kinetic friction magnitude (same units), >= 0
     omega  : forcing angular frequency, > 0
     l, r   : left / right wall positions, r > l
-    force_law : spatial force law selector
+    force_law : spatial force law selector (a ForceLaw or its value)
+
+    Derived: ``R = r - l``, ``T = 2 pi / omega`` and ``globally_sticking``,
+    set where friction can hold the particle at rest everywhere for all
+    phases (uniform law with f >= F); such runs are legal but every
+    velocity-zero event is a permanent stop.
     """
 
     F: float
@@ -48,30 +53,33 @@ class OscillatorParams:
     l: float
     r: float
     force_law: ForceLaw = ForceLaw.UNIFORM
+    R: float = field(init=False)
+    T: float = field(init=False)
+    globally_sticking: bool = field(init=False)
 
-
-@dataclass(frozen=True)
-class Params:
-    """Validated parameters with derived quantities cached.
-
-    ``globally_sticking`` flags configurations where friction can hold the
-    particle at rest everywhere for all phases (uniform law with f >= F);
-    such runs are legal but every velocity-zero event is a permanent stop.
-    """
-
-    F: float
-    f: float
-    omega: float
-    l: float
-    r: float
-    force_law: ForceLaw
-    R: float
-    T: float
-    globally_sticking: bool
+    def __post_init__(self):
+        vals = (self.F, self.f, self.omega, self.l, self.r)
+        if not all(math.isfinite(v) for v in vals):
+            raise ParameterError("parameters must be finite")
+        if self.r <= self.l:
+            raise ParameterError(f"need r > l, got l={self.l}, r={self.r}")
+        if self.omega <= 0.0:
+            raise ParameterError(f"need omega > 0, got {self.omega}")
+        if self.F < 0.0 or self.f < 0.0:
+            raise ParameterError("F and f must be non-negative")
+        law = ForceLaw(self.force_law)
+        if law is ForceLaw.WALL_VANISHING and not (self.l == -1.0 and self.r == 1.0):
+            raise ParameterError("wall-vanishing law requires walls at l=-1, r=1")
+        # frozen: the normalised and derived fields are set through object
+        for name, value in zip(("F", "f", "omega", "l", "r"), vals):
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "force_law", law)
+        object.__setattr__(self, "R", self.r - self.l)
+        object.__setattr__(self, "T", TWO_PI / self.omega)
+        object.__setattr__(self, "globally_sticking", self.f >= self.F)
 
     def replace_friction(self, f: float) -> "Params":
-        return validate_params(OscillatorParams(self.F, f, self.omega, self.l,
-                                                self.r, self.force_law))
+        return Params(self.F, f, self.omega, self.l, self.r, self.force_law)
 
 
 @dataclass(frozen=True)
@@ -99,31 +107,10 @@ class StickingBand:
         return any(a <= x <= b for a, b in self.intervals)
 
 
-def validate_params(p: OscillatorParams) -> Params:
-    """Check admissibility and cache derived quantities R and T."""
-    if not all(math.isfinite(v) for v in (p.F, p.f, p.omega, p.l, p.r)):
-        raise ParameterError("parameters must be finite")
-    if p.r <= p.l:
-        raise ParameterError(f"need r > l, got l={p.l}, r={p.r}")
-    if p.omega <= 0.0:
-        raise ParameterError(f"need omega > 0, got {p.omega}")
-    if p.F < 0.0 or p.f < 0.0:
-        raise ParameterError("F and f must be non-negative")
-    law = ForceLaw(p.force_law)
-    if law is ForceLaw.WALL_VANISHING and not (p.l == -1.0 and p.r == 1.0):
-        raise ParameterError("wall-vanishing law requires walls at l=-1, r=1")
-    return Params(
-        F=float(p.F), f=float(p.f), omega=float(p.omega),
-        l=float(p.l), r=float(p.r), force_law=law,
-        R=float(p.r - p.l), T=TWO_PI / float(p.omega),
-        globally_sticking=(p.f >= p.F),
-    )
-
-
 def make_params(F: float, f: float, omega: float, l: float, r: float,
                 force_law: ForceLaw | str = ForceLaw.UNIFORM) -> Params:
-    """Convenience constructor: build and validate in one call."""
-    return validate_params(OscillatorParams(F, f, omega, l, r, ForceLaw(force_law)))
+    """Build a validated :class:`Params` (the same as calling it)."""
+    return Params(F, f, omega, l, r, force_law)
 
 
 def spatial_envelope(p: Params, x: float) -> float:
@@ -155,11 +142,8 @@ def sticking_band(p: Params) -> StickingBand:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat key/value text and JSON
+# serialization: the ``params`` mapping of configs and trajectory logs
 # ---------------------------------------------------------------------------
-
-_PARAM_KEYS = ("F", "f", "omega", "l", "r", "force_law")
-
 
 def params_to_dict(p: Params) -> dict:
     return {"F": p.F, "f": p.f, "omega": p.omega, "l": p.l, "r": p.r,
@@ -172,35 +156,8 @@ def params_from_dict(d: dict) -> Params:
         raise ParameterError(f"missing parameter keys: {missing}")
     law = d.get("force_law", ForceLaw.UNIFORM.value)
     try:
-        raw = OscillatorParams(float(d["F"]), float(d["f"]), float(d["omega"]),
-                               float(d["l"]), float(d["r"]), ForceLaw(str(law)))
+        vals = [float(d[k]) for k in ("F", "f", "omega", "l", "r")]
+        law = ForceLaw(str(law))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed parameters: {exc}") from exc
-    return validate_params(raw)
-
-
-def params_to_json(p: Params) -> str:
-    return json.dumps(params_to_dict(p), sort_keys=True)
-
-
-def params_from_json(text: str) -> Params:
-    return params_from_dict(json.loads(text))
-
-
-def params_to_text(p: Params) -> str:
-    """Flat diff-friendly ``key = value`` form."""
-    d = params_to_dict(p)
-    return "".join(f"{k} = {d[k]}\n" for k in _PARAM_KEYS)
-
-
-def params_from_text(text: str) -> Params:
-    d: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"malformed config line: {line!r}")
-        k, v = (s.strip() for s in line.split("=", 1))
-        d[k] = v
-    return params_from_dict(d)
+    return Params(*vals, law)

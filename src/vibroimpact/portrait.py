@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import Params, params_from_dict, params_to_dict
+from .model import Params
 from .simulator import SimulationError
 from .strobemap import BATCH_CELLS, CLASS_CODE, period_map, period_map_batch
 # unused here; a module attribute that perfbench/spans.py wraps by name
@@ -189,9 +189,8 @@ def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
 
 
 def _region_chunk(args):
-    pd, t0, cells, event_cap = args
-    b = period_map_batch(params_from_dict(pd), cells[:, 0], cells[:, 1], t0,
-                         event_cap=event_cap)
+    p, t0, cells, event_cap = args
+    b = period_map_batch(p, cells[:, 0], cells[:, 1], t0, event_cap=event_cap)
     return b.det, b.code, b.out_x, b.out_v
 
 
@@ -202,17 +201,16 @@ def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int,
     piece at a time, so no grid-sized temporaries are held."""
     det, out_x, out_v = np.empty(n), np.empty(n), np.empty(n)
     code = np.empty(n, dtype=np.uint8)
-    pd = params_to_dict(p)
     if workers > 1 and n >= 4 * workers:
         edges = np.linspace(0, n, workers * 8 + 1).astype(int).tolist()
         spans = list(zip(edges[:-1], edges[1:]))
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_region_chunk,
-                                [(pd, t0, cells_at(a, b), event_cap)
+                                [(p, t0, cells_at(a, b), event_cap)
                                  for a, b in spans]))
     else:
         spans = [(a, min(a + BATCH_CELLS, n)) for a in range(0, n, BATCH_CELLS)]
-        parts = (_region_chunk((pd, t0, cells_at(a, b), event_cap))
+        parts = (_region_chunk((p, t0, cells_at(a, b), event_cap))
                  for a, b in spans)
     for (a, b), part in zip(spans, parts):
         det[a:b], code[a:b], out_x[a:b], out_v[a:b] = part

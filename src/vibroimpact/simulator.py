@@ -11,8 +11,14 @@ A velocity zero exactly at a wall (grazing) is resolved against the hard
 constraint: resumed motion must point into the interior.  If the force
 presses the particle against the wall it stays there (wall reaction
 active) until the force level re-enters the friction band, sticks, and is
-eventually released inward.  Grazing episodes are logged and flag the map
-derivative as undefined.
+released; a release toward the wall presses it again until |force| drops
+to f.  Grazing episodes are logged and flag the map derivative as
+undefined.
+
+There is one resolution path: ``_advance`` makes every event with the
+builders that ``resolve_velocity_zero`` and ``resolve_impact`` wrap, sticks
+inside and at a wall through one routine, and takes the saltation factors
+from ``reflection_factor`` and ``turning_factor``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
-                    applied_force, spatial_envelope)
+                    applied_force, params_to_dict, spatial_envelope)
 from .flight import (HORIZON, IMPACT, IRREGULAR, EventKind, FlightArc,
                      UniformFlightArcs, WallVanishingArcs, _arc, next_event,
                      next_events)
@@ -109,7 +115,7 @@ class Trajectory:
         return out
 
     def event_signature(self) -> tuple[str, ...]:
-        return _signature(self.events)
+        return tuple(_code(e) for e in self.events)
 
     def to_json(self) -> str:
         def ev(e: ResolvedEvent) -> dict:
@@ -119,10 +125,7 @@ class Trajectory:
                     "force": e.force, "release_time": e.release_time,
                     "direction": e.direction}
         doc = {
-            "params": {"F": self.params.F, "f": self.params.f,
-                       "omega": self.params.omega, "l": self.params.l,
-                       "r": self.params.r,
-                       "force_law": self.params.force_law.value},
+            "params": params_to_dict(self.params),
             "initial": [self.initial.x, self.initial.v, self.initial.t],
             "final": [self.final.x, self.final.v, self.final.t],
             "events": [ev(e) for e in self.events],
@@ -141,19 +144,19 @@ class Trajectory:
         return buf.getvalue()
 
 
-def _signature(events) -> tuple[str, ...]:
-    code = {ResolvedKind.IMPACT: {1: "R", -1: "L"},
-            ResolvedKind.TURNING: "T", ResolvedKind.STICK_START: "S",
-            ResolvedKind.STICK_RELEASE: "s", ResolvedKind.GRAZING: "G"}
-    out = []
-    for e in events:
-        c = code[e.kind]
-        out.append(c[e.wall] if isinstance(c, dict) else c)
-    return tuple(out)
+# Signature code of each event kind; impacts are coded by wall.
+_CODES = {ResolvedKind.IMPACT: {1: "R", -1: "L"}, ResolvedKind.TURNING: "T",
+          ResolvedKind.STICK_START: "S", ResolvedKind.STICK_RELEASE: "s",
+          ResolvedKind.GRAZING: "G"}
+
+
+def _code(e: ResolvedEvent) -> str:
+    c = _CODES[e.kind]
+    return c[e.wall] if isinstance(c, dict) else c
 
 
 # ---------------------------------------------------------------------------
-# pointwise event resolution (public contract operations)
+# pointwise event resolution and saltation factors
 # ---------------------------------------------------------------------------
 
 # The velocity-zero rules shared by ``_advance`` and ``_advance_batch``;
@@ -206,44 +209,6 @@ def stick_release_time(p: Params, x: float, t_s: float) -> tuple[float, int] | N
     return (t_s + left / p.omega, -1)
 
 
-def resolve_velocity_zero(p: Params, state: PhaseState) -> ResolvedEvent:
-    """Classify an interior velocity zero: turning point or stick start."""
-    if state.v != 0.0:
-        raise ContractViolation("resolve_velocity_zero requires v = 0")
-    if not (p.l < state.x < p.r):
-        raise ContractViolation("state must be strictly between the walls")
-    g = applied_force(p, state.x, state.t)
-    if _turns(g, p.f):
-        direction = 1 if g > 0 else -1
-        return ResolvedEvent(ResolvedKind.TURNING, state.t, state, state,
-                             force=g, direction=direction)
-    rel = stick_release_time(p, state.x, state.t)
-    if rel is None:
-        return ResolvedEvent(ResolvedKind.STICK_START, state.t, state, state,
-                             force=g, release_time=None)
-    return ResolvedEvent(ResolvedKind.STICK_START, state.t, state, state,
-                         force=g, release_time=rel[0], direction=rel[1])
-
-
-def resolve_impact(p: Params, state: PhaseState) -> ResolvedEvent:
-    """Instantaneous elastic reflection at a wall (unit restitution)."""
-    if state.x == p.r:
-        wall = 1
-    elif state.x == p.l:
-        wall = -1
-    else:
-        raise ContractViolation("resolve_impact requires x at a wall")
-    g = applied_force(p, state.x, state.t)
-    if state.v == 0.0:
-        return ResolvedEvent(ResolvedKind.GRAZING, state.t, state, state,
-                             force=g, wall=wall)
-    if (state.v > 0) != (wall > 0):
-        raise ContractViolation("velocity points away from the wall")
-    after = PhaseState(state.x, -state.v, state.t)
-    return ResolvedEvent(ResolvedKind.IMPACT, state.t, state, after,
-                         force=g, wall=wall, direction=-wall)
-
-
 def _pressed_end_time(p: Params, wall: int, t: float) -> float:
     """End of a wall-pressed episode: next time |force| drops to f.
 
@@ -257,12 +222,91 @@ def _pressed_end_time(p: Params, wall: int, t: float) -> float:
     return t + _phase_delay(target, _phase(p, t)) / p.omega
 
 
+# The event builders: ``_advance`` and the public resolvers below make
+# every ResolvedEvent through them; g is the applied force at the event.
+
+def _stick_event(p: Params, x: float, t: float, g: float,
+                 wall: int = 0) -> ResolvedEvent:
+    rel = stick_release_time(p, x, t)
+    st = PhaseState(x, 0.0, t)
+    return ResolvedEvent(ResolvedKind.STICK_START, t, st, st, force=g, wall=wall,
+                         release_time=None if rel is None else rel[0],
+                         direction=0 if rel is None else rel[1])
+
+
+def _velocity_zero_event(p: Params, x: float, t: float, g: float) -> ResolvedEvent:
+    """Interior velocity zero: turning point or stick start."""
+    if _turns(g, p.f):
+        st = PhaseState(x, 0.0, t)
+        return ResolvedEvent(ResolvedKind.TURNING, t, st, st, force=g,
+                             direction=1 if g > 0 else -1)
+    return _stick_event(p, x, t, g)
+
+
+def _release_event(p: Params, stick: ResolvedEvent) -> ResolvedEvent:
+    x, t_r = stick.state_before.x, stick.release_time
+    st = PhaseState(x, 0.0, t_r)
+    return ResolvedEvent(ResolvedKind.STICK_RELEASE, t_r, st, st,
+                         force=applied_force(p, x, t_r), wall=stick.wall,
+                         direction=stick.direction)
+
+
+def _impact_event(p: Params, x: float, v: float, t: float,
+                  wall: int) -> ResolvedEvent:
+    """Elastic reflection (unit restitution); v is the pre-impact velocity."""
+    return ResolvedEvent(ResolvedKind.IMPACT, t, PhaseState(x, v, t),
+                         PhaseState(x, -v, t), force=applied_force(p, x, t),
+                         wall=wall, direction=-wall)
+
+
+def _grazing_event(p: Params, x: float, t: float, wall: int) -> ResolvedEvent:
+    st = PhaseState(x, 0.0, t)
+    return ResolvedEvent(ResolvedKind.GRAZING, t, st, st,
+                         force=applied_force(p, x, t), wall=wall)
+
+
+def resolve_velocity_zero(p: Params, state: PhaseState) -> ResolvedEvent:
+    """Classify an interior velocity zero: turning point or stick start."""
+    if state.v != 0.0:
+        raise ContractViolation("resolve_velocity_zero requires v = 0")
+    if not (p.l < state.x < p.r):
+        raise ContractViolation("state must be strictly between the walls")
+    return _velocity_zero_event(p, state.x, state.t,
+                                applied_force(p, state.x, state.t))
+
+
+def resolve_impact(p: Params, state: PhaseState) -> ResolvedEvent:
+    """Instantaneous elastic reflection at a wall (unit restitution)."""
+    if state.x == p.r:
+        wall = 1
+    elif state.x == p.l:
+        wall = -1
+    else:
+        raise ContractViolation("resolve_impact requires x at a wall")
+    if state.v == 0.0:
+        return _grazing_event(p, state.x, state.t, wall)
+    if (state.v > 0) != (wall > 0):
+        raise ContractViolation("velocity points away from the wall")
+    return _impact_event(p, state.x, state.v, state.t, wall)
+
+
+def reflection_factor(force_value: float, v_pre: float) -> np.ndarray:
+    """Saltation matrix of an elastic wall reflection."""
+    return np.array([[-1.0, 0.0], [2.0 * force_value / v_pre, -1.0]])
+
+
+def turning_factor(force_value: float, f: float) -> np.ndarray:
+    """Saltation matrix of a turning point."""
+    return np.array([[1.0, 0.0], [0.0, _turning_ratio(force_value, f)]])
+
+
+# Saltation matrix of a sticking episode (the velocity is erased).
+_STICK_FACTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-
-_STICK_FACTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
-
 
 @dataclass
 class RunResult:
@@ -278,7 +322,6 @@ class RunResult:
     factors: list | None   # (kind, 2x2 factor, its f-column term)
     events: list[ResolvedEvent] | None
     segments: list[Segment] | None
-    n_events: int
 
 
 def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
@@ -299,39 +342,51 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
     undefined = False
     n_events = 0
 
-    def note(ev: ResolvedEvent, code: str):
+    def note(ev: ResolvedEvent | None):
+        """Count an event against the cap and log it (None: a wall-pressed
+        episode, which counts but has no signature code)."""
         nonlocal n_events
         n_events += 1
         if n_events > event_cap:
             raise SimulationError(
                 f"event cascade exceeded cap of {event_cap} events "
                 f"(possible chatter or degenerate configuration)")
-        sig.append(code)
-        if record:
-            events.append(ev)
+        if ev is not None:
+            sig.append(_code(ev))
+            if record:
+                events.append(ev)
 
-    def add_stick_segment(x_s, t_a, t_b, constrained=False):
+    def rest(t_a, t_b, constrained=False):
         if record and t_b > t_a:
-            segments.append(StickInterval(x_s, t_a, t_b, constrained))
+            segments.append(StickInterval(x, t_a, t_b, constrained))
 
-    def reflect(x_w, v_w, t_w, wall):
-        """Record an elastic impact at a wall; v_w is the pre-impact velocity."""
-        g = applied_force(p, x_w, t_w)
+    def reflect(wall):
+        ev = _impact_event(p, x, v, t, wall)
         counts["impacts_right" if wall > 0 else "impacts_left"] += 1
-        note(ResolvedEvent(ResolvedKind.IMPACT, t_w, PhaseState(x_w, v_w, t_w),
-                           PhaseState(x_w, -v_w, t_w), force=g, wall=wall,
-                           direction=-wall), "R" if wall > 0 else "L")
+        note(ev)
         if jac:
-            factors.append(("reflection",
-                            np.array([[-1.0, 0.0], [2.0 * g / v_w, -1.0]]), 0.0))
+            factors.append(("reflection", reflection_factor(ev.force, v), 0.0))
 
-    def stick_factor():
-        nonlocal det, undefined
+    def stick(ev: ResolvedEvent) -> int:
+        """Rest from the stick start ``ev`` (interior or at a wall) to its
+        release; returns the release direction, or 0 when the particle
+        rests to t_end.  Moves t to the end of the rest."""
+        nonlocal det, undefined, t
+        counts["sticks"] += 1
+        note(ev)
         det = 0.0
         if p.f == 0.0:
             undefined = True   # degenerate tangency: v and force vanish together
         if jac:
             factors.append(("stick", _STICK_FACTOR.copy(), 0.0))
+        if ev.release_time is None or ev.release_time >= t_end:
+            rest(t, t_end)
+            t = t_end
+            return 0
+        rest(t, ev.release_time)
+        note(_release_event(p, ev))
+        t = ev.release_time
+        return ev.direction
 
     sign = 0
     if v > 0:
@@ -342,97 +397,48 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
     # an initial state resting on a wall but pointed outward is resolved by
     # an immediate reflection
     if sign != 0 and ((x == p.r and sign > 0) or (x == p.l and sign < 0)):
-        reflect(x, v, t, 1 if x == p.r else -1)
+        reflect(sign)
         v, sign = -v, -sign
 
     while True:
         # --- zero-velocity states (interior or at a wall) ------------------
-        while v == 0.0 and t < t_end:
-            at_wall = 1 if x == p.r else (-1 if x == p.l else 0)
-            g = applied_force(p, x, t)
-            if at_wall != 0:
+        if v == 0.0 and t < t_end:
+            wall = 1 if x == p.r else (-1 if x == p.l else 0)
+            if wall == 0:
+                ev = _velocity_zero_event(p, x, t, applied_force(p, x, t))
+                if ev.kind is ResolvedKind.TURNING:
+                    sign = ev.direction
+                    counts["turnings"] += 1
+                    note(ev)
+                    det *= _turning_ratio(ev.force, p.f)
+                    if jac:
+                        factors.append(("turning",
+                                        turning_factor(ev.force, p.f), 0.0))
+                else:
+                    sign = stick(ev)
+            else:
                 undefined = True
                 counts["grazings"] += 1
-                st = PhaseState(x, 0.0, t)
-                note(ResolvedEvent(ResolvedKind.GRAZING, t, st, st, force=g,
-                                   wall=at_wall), "G")
+                note(_grazing_event(p, x, t, wall))
                 # stay at the wall until motion can resume inward
                 while t < t_end:
                     g = applied_force(p, x, t)
-                    if _turns(g, p.f) and (g > 0) != (at_wall > 0):
-                        sign = -at_wall
+                    if _turns(g, p.f) and (g > 0) != (wall > 0):
+                        sign = -wall
                         break  # resume inward
-                    t_pe = _pressed_end_time(p, at_wall, t) if _turns(g, p.f) else t
-                    if t_pe > t + 1e-14 * max(1.0, abs(t)):
-                        # pressed against the wall by the force
-                        counts["pressed"] += 1
-                        n_events += 1
-                        if n_events > event_cap:
-                            raise SimulationError(
-                                f"event cascade exceeded cap of {event_cap}")
-                        add_stick_segment(x, t, min(t_pe, t_end), constrained=True)
-                        t = min(t_pe, t_end)
-                        continue
-                    # |force| <= f, or at the band boundary: friction sticking
-                    rel = stick_release_time(p, x, t)
-                    counts["sticks"] += 1
-                    st = PhaseState(x, 0.0, t)
-                    note(ResolvedEvent(ResolvedKind.STICK_START, t, st, st,
-                                       force=g, wall=at_wall,
-                                       release_time=None if rel is None else rel[0],
-                                       direction=0 if rel is None else rel[1]),
-                         "S")
-                    if rel is None or rel[0] >= t_end:
-                        add_stick_segment(x, t, t_end)
-                        return RunResult(x, 0.0, t_end, tuple(sig), counts, 0.0,
-                                         undefined, factors, events, segments,
-                                         n_events)
-                    add_stick_segment(x, t, rel[0])
-                    t_r, direction = rel
-                    st = PhaseState(x, 0.0, t_r)
-                    note(ResolvedEvent(ResolvedKind.STICK_RELEASE, t_r, st, st,
-                                       force=applied_force(p, x, t_r),
-                                       wall=at_wall, direction=direction), "s")
-                    det = 0.0
-                    t = t_r
-                    if (direction > 0) != (at_wall > 0):
-                        sign = direction
-                        break  # released inward: fly
-                    # released toward the wall: pressed episode follows
-                break
-            # interior velocity zero
-            if _turns(g, p.f):
-                sign = 1 if g > 0 else -1
-                counts["turnings"] += 1
-                st = PhaseState(x, 0.0, t)
-                note(ResolvedEvent(ResolvedKind.TURNING, t, st, st, force=g,
-                                   direction=sign), "T")
-                ratio = _turning_ratio(g, p.f)
-                det *= ratio
-                if jac:
-                    factors.append(("turning",
-                                    np.array([[1.0, 0.0], [0.0, ratio]]), 0.0))
-                break
-            rel = stick_release_time(p, x, t)
-            counts["sticks"] += 1
-            st = PhaseState(x, 0.0, t)
-            note(ResolvedEvent(ResolvedKind.STICK_START, t, st, st, force=g,
-                               release_time=None if rel is None else rel[0],
-                               direction=0 if rel is None else rel[1]), "S")
-            stick_factor()
-            if rel is None or rel[0] >= t_end:
-                add_stick_segment(x, t, t_end)
-                return RunResult(x, 0.0, t_end, tuple(sig), counts, det,
-                                 undefined, factors, events, segments, n_events)
-            add_stick_segment(x, t, rel[0])
-            t_r, direction = rel
-            st = PhaseState(x, 0.0, t_r)
-            note(ResolvedEvent(ResolvedKind.STICK_RELEASE, t_r, st, st,
-                               force=applied_force(p, x, t_r),
-                               direction=direction), "s")
-            sign = direction
-            t = t_r
-            break
+                    t_pe = _pressed_end_time(p, wall, t) if _turns(g, p.f) else t
+                    if t_pe <= t + 1e-14 * max(1.0, abs(t)):
+                        # |force| <= f, or at the band edge: friction rest
+                        sign = stick(_stick_event(p, x, t, g, wall))
+                        if sign != wall:
+                            break  # released inward (or at rest to t_end)
+                        # released into the wall: pressed until |force| = f
+                        t_pe = _pressed_end_time(p, wall, t)
+                    # pressed against the wall by the force
+                    counts["pressed"] += 1
+                    note(None)
+                    rest(t, min(t_pe, t_end), constrained=True)
+                    t = min(t_pe, t_end)
 
         if t >= t_end:
             break
@@ -452,18 +458,14 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
 
         if ev.kind is EventKind.HORIZON:
             break
-        if ev.grazing:
-            v = 0.0
-            continue  # wall + velocity zero handled at loop top
-        if ev.wall != 0:
-            reflect(x, v, t, ev.wall)
+        if ev.wall != 0 and not ev.grazing:
+            reflect(ev.wall)
             v, sign = -v, -sign
-            continue
-        # interior velocity zero: classified at loop top
-        v = 0.0
+        else:
+            v = 0.0  # velocity zero, inside or at a wall: resolved above
 
     return RunResult(x, v, t_end, tuple(sig), counts, det, undefined,
-                     factors, events, segments, n_events)
+                     factors, events, segments)
 
 
 # Events a cell may take inside the lockstep loop before it is handed to

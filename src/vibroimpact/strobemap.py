@@ -32,8 +32,6 @@ stick release, so the release-time shift adds nothing).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +39,8 @@ from enum import Enum
 import numpy as np
 
 from .model import ContractViolation, Params, PhaseState
-from .simulator import (RunResult, SimulationError, _advance, _advance_batch,
-                        _turning_ratio)
+from .simulator import (SimulationError, _advance, _advance_batch,
+                        reflection_factor, turning_factor)  # noqa: F401  (re-exported)
 
 
 class MapClass(str, Enum):
@@ -110,13 +108,6 @@ class MapResult:
     def multipliers(self) -> tuple[complex, complex]:
         return multipliers(self.trace, self.det)
 
-    def csv_row(self) -> list:
-        c = self.event_summary
-        return [self.input[0], self.input[1], self.output[0], self.output[1],
-                self.det, self.classification.value,
-                c["impacts_left"] + c["impacts_right"], c["turnings"],
-                c["sticks"], c["grazings"]]
-
 
 def multipliers(tr: float, det: float) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 map with trace tr and determinant det."""
@@ -126,22 +117,6 @@ def multipliers(tr: float, det: float) -> tuple[complex, complex]:
         return (0.5 * (tr - s), 0.5 * (tr + s))
     s = math.sqrt(-disc)
     return (complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s))
-
-
-def _result_from_run(res: RunResult, x, v, t0, k, with_jac) -> MapResult:
-    jac = factors = df = None
-    if with_jac and not res.undefined:
-        jac, df = np.eye(2), np.zeros(2)
-        fs = []
-        for kind, mat, col in res.factors:
-            jac = mat @ jac
-            df = None if df is None or col is None else mat @ df + col
-            fs.append(SaltationFactor(kind, mat))
-        factors = tuple(fs)
-    return MapResult(input=(x, v), output=(res.x, res.v), t0=t0, k=k,
-                     event_summary=dict(res.counts), signature=res.signature,
-                     det=res.det, undefined=res.undefined,
-                     jacobian=jac, factors=factors, df=df)
 
 
 def _map(p: Params, state, t0: float, k: int, event_cap: int,
@@ -154,7 +129,19 @@ def _map(p: Params, state, t0: float, k: int, event_cap: int,
         x, v = float(state[0]), float(state[1])
     res = _advance(p, x, v, t0, t0 + k * p.T, record=False, jac=jac,
                    event_cap=event_cap)
-    return _result_from_run(res, x, v, t0, k, with_jac=jac)
+    product = factors = df = None
+    if jac and not res.undefined:
+        product, df = np.eye(2), np.zeros(2)
+        fs = []
+        for kind, mat, col in res.factors:
+            product = mat @ product
+            df = None if df is None or col is None else mat @ df + col
+            fs.append(SaltationFactor(kind, mat))
+        factors = tuple(fs)
+    return MapResult(input=(x, v), output=(res.x, res.v), t0=t0, k=k,
+                     event_summary=dict(res.counts), signature=res.signature,
+                     det=res.det, undefined=res.undefined,
+                     jacobian=product, factors=factors, df=df)
 
 
 def period_map(p: Params, state: tuple[float, float] | PhaseState,
@@ -270,24 +257,3 @@ def finite_difference_jacobian(p: Params, state, t0: float = 0.0, k: int = 1,
     (xp, vp), (xm, vm), (xq, vq), (xr, vr) = outs
     return np.array([[(xp - xm) / (2 * h), (xq - xr) / (2 * h)],
                      [(vp - vm) / (2 * h), (vq - vr) / (2 * h)]])
-
-
-def reflection_factor(force_value: float, v_pre: float) -> np.ndarray:
-    """Saltation matrix of an elastic wall reflection."""
-    return np.array([[-1.0, 0.0], [2.0 * force_value / v_pre, -1.0]])
-
-
-def turning_factor(force_value: float, f: float) -> np.ndarray:
-    """Saltation matrix of a turning point."""
-    return np.array([[1.0, 0.0], [0.0, _turning_ratio(force_value, f)]])
-
-
-def results_csv(results: list[MapResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "v", "x_out", "v_out", "det", "classification",
-                "impacts", "turnings", "sticks", "grazings"])
-    for r in results:
-        row = r.csv_row()
-        w.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in row])
-    return buf.getvalue()

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, PhaseState, ResolvedKind,
                          SimulationError, StickInterval, applied_force,
-                         make_params, oracle_simulate, resolve_impact,
+                         make_params, oracle_simulate, period_map,
+                         period_map_jacobian, resolve_impact,
                          resolve_velocity_zero, simulate)
 from vibroimpact.orbits import symmetric_orbit_formula, symmetric_orbit_state
-from vibroimpact.simulator import FlightSegment, stick_release_time
+from vibroimpact.simulator import (FlightSegment, reflection_factor,
+                                   stick_release_time, turning_factor)
+from tests.test_batch import PARAMS, WV_PARAMS
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +278,128 @@ def test_trajectory_exports(tmp_path, fast):
     assert len(lines) > 90
     t, x, v = (float(c) for c in lines[1].split(","))
     assert (t, x, v) == (0.0, 0.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# wall contact
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("wall", [1, -1])
+def test_release_into_wall_starts_pressed_episode(f, wall):
+    """At rest on a wall with the force inside the friction band, the band
+    exit toward the wall comes first: the release presses the particle
+    against the wall until |force| drops back to f, after which it sticks
+    and is released inward.  At the band exit |force| may round to just
+    below f: the release must not restart a friction rest there, which
+    would release it again at the same instant, without end."""
+    p = make_params(F=1.0, f=f, omega=1.0, l=0.0, r=1.0)
+    x = p.r if wall > 0 else p.l
+    t0 = 1.5 * math.pi if wall > 0 else 0.5 * math.pi   # force = 0
+    tr = simulate(p, PhaseState(x, 0.0, t0), p.T, event_cap=100)
+    assert tr.event_signature()[:5] == ("G", "S", "s", "S", "s")
+    release, restick, inward = tr.events[2], tr.events[3], tr.events[4]
+    assert release.direction == wall
+    assert inward.direction == -wall
+    pressed = [s for s in tr.segments
+               if isinstance(s, StickInterval) and s.constrained]
+    assert len(pressed) == 1
+    seg = pressed[0]
+    assert seg.t0 == release.time and seg.t1 == restick.time
+    # the force presses into the wall throughout, and has dropped to f
+    # at the end
+    mid = 0.5 * (seg.t0 + seg.t1)
+    assert wall * applied_force(p, x, mid) > f
+    assert abs(applied_force(p, x, seg.t1)) == pytest.approx(f, abs=1e-12)
+    res = period_map(p, (x, 0.0), t0)
+    assert res.event_summary["pressed"] == 1
+    assert res.det == 0.0 and res.undefined
+
+
+def test_release_into_wall_then_flight_to_other_wall():
+    p = make_params(F=1.0, f=0.3, omega=1.0, l=0.0, r=1.0)
+    tr = simulate(p, PhaseState(1.0, 0.0, 4.6), p.T, event_cap=100)
+    assert "".join(tr.event_signature()) == "GSsSsL"
+    assert period_map(p, (1.0, 0.0), 4.6).event_summary["pressed"] == 1
+
+
+# (x0, t0, f) at rest on a wall of [0, 1], F = omega = 1, over two
+# periods: signature, wall-pressed episodes and image.
+WALL_CASES = [
+    (1.0, 0.0, 0.3, "GSsLRTRTSsLRT", 1,
+     (0.8636695826849574, 0.13639148067184514)),
+    (1.0, 2.0, 0.3, "GLRTRTSsLRTRTSs", 0,
+     (0.9462811386797969, -0.00728846883435208)),
+    (0.0, 0.5, 0.3, "GTLTLSsRLTLTSs", 0,
+     (0.6993177165388968, 0.9035336381872988)),
+    (1.0, 1.3, 0.3, "GSsLRTRTSsLRTRT", 0,
+     (0.9323775755618238, 0.06857609027868819)),
+    (1.0, 1.3, 0.0, "GSsLRTRLTLRT", 1,
+     (0.17206016131057067, 0.2246338007734936)),
+]
+
+
+@pytest.mark.parametrize("x0,t0,f,sig,pressed,image", WALL_CASES)
+@pytest.mark.parametrize("jac", [False, True])
+def test_wall_contact_branches(x0, t0, f, sig, pressed, image, jac):
+    """Every branch of the wall-contact rules: resuming inward, wall-pressed
+    rest, friction rest at the wall and its release, with and without the
+    Jacobian.  Grazing leaves the derivative undefined."""
+    p = make_params(F=1.0, f=f, omega=1.0, l=0.0, r=1.0)
+    res = (period_map_jacobian if jac else period_map)(p, (x0, 0.0), t0, k=2)
+    assert "".join(res.signature) == sig
+    assert res.event_summary["pressed"] == pressed
+    assert res.det == 0.0 and res.undefined
+    assert res.output == pytest.approx(image, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the public resolvers are the engine's rules
+# ---------------------------------------------------------------------------
+
+def _resolved_in_engine(params, data):
+    p = data.draw(st.sampled_from(params))
+    # on a wall, or at least 1e-9 R inside: an arc leaving rest within
+    # roundoff of a wall can report an impact with zero or outward
+    # velocity, a flight-layer defect outside these rules
+    gap = 1e-9 * p.R
+    x = data.draw(st.one_of(st.floats(p.l + gap, p.r - gap),
+                            st.sampled_from([p.l, p.r])))
+    v = data.draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    t0 = data.draw(st.floats(0.0, p.T))
+    tr = simulate(p, PhaseState(x, v, t0), p.T)
+    res = period_map_jacobian(p, (x, v), t0)
+    for ev in tr.events:
+        if ev.kind in (ResolvedKind.TURNING, ResolvedKind.STICK_START) \
+                and ev.wall == 0:
+            assert resolve_velocity_zero(p, ev.state_before) == ev
+        elif ev.kind in (ResolvedKind.IMPACT, ResolvedKind.GRAZING):
+            assert resolve_impact(p, ev.state_before) == ev
+    if res.factors is None:
+        return
+    factors = [m for m in res.factors if m.kind != "flight"]
+    events = [e for e in tr.events if e.kind is not ResolvedKind.STICK_RELEASE]
+    assert len(factors) == len(events)
+    for m, ev in zip(factors, events):
+        if ev.kind is ResolvedKind.IMPACT:
+            assert m.kind == "reflection"
+            want = reflection_factor(ev.force, ev.state_before.v)
+        elif ev.kind is ResolvedKind.TURNING:
+            assert m.kind == "turning"
+            want = turning_factor(ev.force, p.f)
+        else:
+            assert m.kind == "stick"
+            want = np.diag([1.0, 0.0])
+        np.testing.assert_array_equal(m.matrix, want)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_resolvers_agree_with_engine_uniform(data):
+    _resolved_in_engine(PARAMS, data)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_resolvers_agree_with_engine_wall_vanishing(data):
+    _resolved_in_engine(WV_PARAMS, data)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from vibroimpact import (ContractViolation, MapClass,
                          finite_difference_jacobian, make_params, period_map,
                          period_map_jacobian)
-from vibroimpact.strobemap import (reflection_factor, results_csv,
-                                   turning_factor)
+from vibroimpact.strobemap import reflection_factor, turning_factor
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
 from tests.test_batch import FAST, PARAMS, WV_PARAMS
@@ -162,15 +161,6 @@ def test_frictionless_turning_keeps_unit_determinant(narrow):
     assert res.event_summary["turnings"] >= 1
     assert res.det == pytest.approx(1.0, abs=1e-12)
     assert res.classification is MapClass.AREA_PRESERVING
-
-
-def test_results_csv_shape(fast):
-    rows = [period_map_jacobian(fast, (0.1, 2.0)),
-            period_map_jacobian(fast, (0.1, 0.2))]
-    text = results_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("x,v,x_out,v_out,det,classification")
-    assert len(lines) == 3
 
 
 def test_wall_vanishing_jacobian_matches_fd(wall_vanishing):
