@@ -4,7 +4,7 @@ bouncing elastically between rigid walls with dry friction."""
 from .model import (ContractViolation, ForceLaw, ParameterError, Params,
                     PhaseState, StickingBand, applied_force, make_params,
                     params_from_dict, params_to_dict, sticking_band)
-from .flight import Event, EventKind, FlightArc, make_arc, next_event
+from .flight import FlightArc, make_arc, next_event
 from .simulator import (ResolvedEvent, ResolvedKind, SimulationError,
                         StickInterval, Trajectory, resolve_impact,
                         resolve_velocity_zero, simulate, stick_release_time)

@@ -5,12 +5,15 @@ Under the uniform law an arc with fixed velocity sign s solves
     x'' = F cos(omega t) - s f,
 
 which integrates to a sinusoid plus a quadratic: events (wall hit,
-velocity zero) are roots of closed-form functions.  Detection walks
-quarter-period windows, inside which the acceleration is monotone, so the
-velocity has at most one interior extremum per window and every sign
-change is bracketed before being polished by Brent's method.  While the
-velocity keeps its sign the position is monotone, which reduces wall
-detection to a single bracketed root.
+velocity zero) are roots of closed-form functions.  The velocity's only
+interior extrema are the acceleration zeros (``SinusoidArc.accel_zeros``),
+so its exact minimum over a span is taken over them and the span's ends
+(``SinusoidArc.min_speed``).  Detection walks quarter-period windows,
+inside which the acceleration is monotone, so the velocity has at most one
+interior extremum per window and every sign change is bracketed before
+being polished by Brent's method.  While the velocity keeps its sign the
+position is monotone, which reduces wall detection to a single bracketed
+root.
 
 Wall-vanishing arcs have no elementary closed form.  ``WallVanishingArcs``
 steps many of them at once by the DOP853 of ``lockstep`` (one step size per
@@ -23,14 +26,19 @@ lockstep on numpy arrays: the knots of every window of every arc (window
 edges and acceleration zeros) are sorted into one array and the velocity
 is evaluated on all of them in one pass.  ``next_events`` resolves either
 bundle.
+
+Events have one vocabulary: ``next_event`` (one arc) and ``next_events``
+(a bundle) report (code, t, x, v) by the same rules in the same order.
+The codes are HORIZON (the state at the horizon), IMPACT (the wall ahead,
+reached with speed into it; v before the impact), VELOCITY_ZERO (between
+the walls) and IRREGULAR: a grazing contact, reported at the wall with
+v = 0.  No image can leave the walls.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (perfbench/spans.py wraps it)
@@ -66,28 +74,8 @@ def _polish_velocity_zero(v, lo: float, hi: float) -> float:
     return brentq(v, lo, hi, **_BRENT_KW)
 
 
-class EventKind(str, Enum):
-    IMPACT_LEFT = "impact_left"
-    IMPACT_RIGHT = "impact_right"
-    VELOCITY_ZERO = "velocity_zero"
-    HORIZON = "horizon"
-
-
-@dataclass(frozen=True)
-class Event:
-    """First event on an arc.  ``wall`` is -1/+1 for left/right (0: none);
-    ``velocity_zero`` is set when v vanishes there.  Both set at once means
-    a grazing contact; ``kind`` reports the primary classification."""
-
-    kind: EventKind
-    time: float
-    state: PhaseState
-    wall: int = 0
-    velocity_zero: bool = False
-
-    @property
-    def grazing(self) -> bool:
-        return self.wall != 0 and self.velocity_zero
+# event codes of next_event and next_events
+HORIZON, IMPACT, VELOCITY_ZERO, IRREGULAR = 0, 1, 2, 3
 
 
 class SinusoidArc:
@@ -132,24 +120,31 @@ class SinusoidArc:
 
     # -- event machinery ---------------------------------------------------
 
-    def _accel_zeros_in(self, a: float, b: float) -> list[float]:
-        """Times in (a, b) where the acceleration vanishes (v extrema)."""
+    def accel_zeros(self, a: float, b: float) -> list[float]:
+        """Times in (a, b), ascending, where the acceleration vanishes: the
+        interior extrema of v.  They solve cos(omega t) = -a_k / a_cos, at
+        phases +-acos of it plus whole turns, counted from the turn at or
+        before a."""
         if self.a_cos == 0.0:
             return []
         c0 = -self.a_k / self.a_cos
         if abs(c0) > 1.0:
             return []
         w = self.omega
-        base = math.acos(max(-1.0, min(1.0, c0)))
+        base = math.acos(c0)
         out = []
         for sgn in (base, -base):
-            n = math.floor((w * a - sgn) / (2.0 * math.pi))
-            for k in (n, n + 1, n + 2):
-                t = (sgn + 2.0 * math.pi * k) / w
-                if a < t < b:
+            k = math.floor((w * a - sgn) / TWO_PI)
+            while (t := (sgn + TWO_PI * k) / w) < b:
+                if t > a:
                     out.append(t)
-        out.sort()
-        return out
+                k += 1
+        return sorted(out)
+
+    def min_speed(self, a: float, b: float) -> float:
+        """Exact minimum of sign * v over [a, b]: v is smooth, so it is
+        taken at an end or at an acceleration zero."""
+        return min(self.sign * self.v(t) for t in (a, b, *self.accel_zeros(a, b)))
 
     def first_velocity_zero(self, t_hi: float) -> float | None:
         """First root of v(t) in (t0, t_hi], honoring the departure sign
@@ -168,7 +163,7 @@ class SinusoidArc:
         sign_a = self.sign if self.v0 == 0.0 else (1 if self.v0 > 0 else -1)
         while a < t_hi:
             b = min(a + window, t_hi)
-            knots = [a] + [k for k in self._accel_zeros_in(a, b) if k > guard] + [b]
+            knots = [a] + [k for k in self.accel_zeros(a, b) if k > guard] + [b]
             va = sign_a
             for k1, k2 in zip(knots[:-1], knots[1:]):
                 v2 = self.v(k2)
@@ -302,49 +297,40 @@ class WallVanishingArc:
 FlightArc = UniformFlightArc | WallVanishingArc
 
 
-def next_event(p: Params, arc: FlightArc, horizon: float) -> Event:
-    """Earliest of: velocity zero, wall contact, horizon.
+def next_event(p: Params, arc: FlightArc, horizon: float):
+    """First event of one arc, as (code, t, x, v): what ``next_events``
+    gives for one arc.  Wall detection exploits monotonicity of x while v
+    keeps its sign: the search span is capped at the first velocity zero,
+    which is never past the horizon.
 
-    Wall detection exploits monotonicity of x while v keeps its sign: the
-    search span is capped at the first velocity zero.  Coinciding wall and
-    velocity-zero times (within GRAZE_TIE * T) are reported on one event.
+    A wall hit is IRREGULAR within GRAZE_TIE * T of a velocity zero, or
+    with no speed into the wall (sign * v <= 0: roundoff gives it to an arc
+    that leaves rest next to a wall); else it is an IMPACT.  A velocity
+    zero within 1e-12 of a wall is IRREGULAR too, at that wall.
     """
     if horizon <= arc.t0:
         raise ContractViolation("horizon must exceed the arc start time")
-    p_l, p_r = p.l, p.r
-    tie = GRAZE_TIE * p.T
     t_v, t_x = arc.event_times(horizon)
-    target = p_r if arc.sign > 0 else p_l
-
     if t_x is not None:
-        wall = 1 if arc.sign > 0 else -1
-        graze = t_v is not None and abs(t_v - t_x) <= tie
-        v_at = 0.0 if graze else arc.v(t_x)
-        kind = EventKind.IMPACT_RIGHT if wall > 0 else EventKind.IMPACT_LEFT
-        return Event(kind=kind, time=t_x,
-                     state=PhaseState(target, v_at, t_x),
-                     wall=wall, velocity_zero=graze)
-    if t_v is not None and t_v <= horizon:
-        x_at = arc.x(t_v)
-        # velocity zero landing exactly on a wall is a grazing contact
-        wall = 0
-        if abs(x_at - p_r) <= 1e-12 * max(1.0, abs(p_r)):
-            wall, x_at = 1, p_r
-        elif abs(x_at - p_l) <= 1e-12 * max(1.0, abs(p_l)):
-            wall, x_at = -1, p_l
-        return Event(kind=EventKind.VELOCITY_ZERO, time=t_v,
-                     state=PhaseState(x_at, 0.0, t_v),
-                     wall=wall, velocity_zero=True)
-    return Event(kind=EventKind.HORIZON, time=horizon,
-                 state=arc.state(horizon))
+        wall = p.r if arc.sign > 0 else p.l
+        if t_v is None or abs(t_v - t_x) > GRAZE_TIE * p.T:
+            v = arc.v(t_x)
+            if arc.sign * v > 0.0:
+                return IMPACT, t_x, wall, v
+        return IRREGULAR, t_x, wall, 0.0
+    if t_v is not None:
+        x = arc.x(t_v)
+        for wall in (p.r, p.l):
+            if abs(x - wall) <= 1e-12 * max(1.0, abs(wall)):
+                return IRREGULAR, t_v, wall, 0.0
+        return VELOCITY_ZERO, t_v, x, 0.0
+    s = arc.state(horizon)
+    return HORIZON, horizon, s.x, s.v
 
 
 # ---------------------------------------------------------------------------
 # lockstep event location (many arcs at once)
 # ---------------------------------------------------------------------------
-
-# event codes of next_events
-HORIZON, IMPACT, VELOCITY_ZERO, IRREGULAR = 0, 1, 2, 3
 
 
 class _LockstepArcs:
@@ -594,25 +580,21 @@ class WallVanishingArcs(_LockstepArcs):
 
 def next_events(p: Params, arcs, horizon: float):
     """``next_event`` for every arc of a ``UniformFlightArcs`` or
-    ``WallVanishingArcs`` bundle: arrays of the event code (HORIZON,
-    IMPACT, VELOCITY_ZERO, or IRREGULAR for grazing contacts and
-    zero-velocity impacts), time, position and velocity (the pre-impact
-    velocity at an impact)."""
-    tie = GRAZE_TIE * p.T
+    ``WallVanishingArcs`` bundle, by the same rules in the same order:
+    arrays of the event code, time, x and v."""
     t_v, t_x = arcs.event_times(horizon)
-    has_v = ~np.isnan(t_v)
-    t_stop = np.where(has_v, np.minimum(t_v, horizon), horizon)
-    target = np.where(arcs.sign > 0, p.r, p.l)
-    hit = ~np.isnan(t_x)
-    t = np.where(hit, t_x, t_stop)
+    has_v, hit = ~np.isnan(t_v), ~np.isnan(t_x)
+    t = np.where(hit, t_x, np.where(has_v, t_v, horizon))
     x, v = arcs.x(t), arcs.v(t)
     kind = np.where(hit, IMPACT, np.where(has_v, VELOCITY_ZERO, HORIZON))
-    x = np.where(hit, target, x)
-    v = np.where(kind == VELOCITY_ZERO, 0.0, v)
-    irregular = hit & ((has_v & (np.abs(t_v - t_x) <= tie)) | (v == 0.0))
-    # a velocity zero landing on a wall is a grazing contact
+    x = np.where(hit, np.where(arcs.sign > 0, p.r, p.l), x)
+    irregular = hit & ((has_v & (np.abs(t_v - t_x) <= GRAZE_TIE * p.T))
+                       | (arcs.sign * v <= 0.0))
     vz = kind == VELOCITY_ZERO
-    irregular |= vz & ((np.abs(x - p.r) <= 1e-12 * max(1.0, abs(p.r)))
-                       | (np.abs(x - p.l) <= 1e-12 * max(1.0, abs(p.l))))
+    at_r = vz & (np.abs(x - p.r) <= 1e-12 * max(1.0, abs(p.r)))
+    at_l = vz & ~at_r & (np.abs(x - p.l) <= 1e-12 * max(1.0, abs(p.l)))
+    x = np.where(at_r, p.r, np.where(at_l, p.l, x))
+    irregular |= at_r | at_l
+    v = np.where(vz | irregular, 0.0, v)
     kind = np.where(irregular, IRREGULAR, kind)
     return kind, t, x, v

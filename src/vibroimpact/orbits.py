@@ -120,7 +120,10 @@ def symmetric_orbit_formula(p: Params, branch: int, m: int = 1) -> SymmetricOrbi
     w = p.omega
     cos_psi = math.cos(psi)
     v0 = (w / (m * math.pi)) * (p.R - (2.0 * p.F / (w * w)) * cos_psi)
-    vmin = _min_flight_velocity(p, psi, v0, m)
+    # the minimum of v over the rightward flight, phases psi to psi + m pi:
+    # in the phase th = omega t, v has acceleration (F cos th - f) / omega
+    vmin = SinusoidArc(t0=psi, x0=p.l, v0=v0, sign=1, a_cos=p.F / w,
+                       a_k=-p.f / w, omega=1.0).min_speed(psi, psi + m * math.pi)
     # a flight velocity within roundoff of its terms is a tangency to rest
     size = (w / (m * math.pi)) * (p.R + (2.0 * p.F / (w * w)) * abs(cos_psi))
     if min(v0, vmin) <= 16.0 * math.ulp(size + 2.0 * p.F / w):
@@ -133,32 +136,6 @@ def symmetric_orbit_formula(p: Params, branch: int, m: int = 1) -> SymmetricOrbi
         tau += TWO_PI
     return SymmetricOrbitFormula(branch=branch, m=m, psi=psi, tau=tau, C=C,
                                  D=D, v0=v0, min_flight_velocity=vmin)
-
-
-def _min_flight_velocity(p: Params, psi: float, v0: float, m: int) -> float:
-    """Minimum of v(t) over the rightward flight window, taken over the
-    endpoints and the interior stationary points (phases with
-    cos = f/F)."""
-    w = p.omega
-
-    def vel(th):  # th = omega t, flight departs at phase psi
-        return v0 + (p.F / w) * (math.sin(th) - math.sin(psi)) \
-            - (p.f / w) * (th - psi)
-
-    cands = [psi, psi + m * math.pi]
-    if p.F > 0.0 and p.f / p.F <= 1.0:
-        alpha = math.acos(p.f / p.F)
-        for base in (alpha, -alpha):
-            n0 = math.floor((psi - base) / TWO_PI)
-            k = n0
-            while True:
-                th = base + TWO_PI * k
-                if th > psi + m * math.pi:
-                    break
-                if th > psi:
-                    cands.append(th)
-                k += 1
-    return min(vel(th) for th in cands)
 
 
 def symmetric_orbit_state(p: Params, formula: SymmetricOrbitFormula,
@@ -236,9 +213,13 @@ def symmetric_fold_friction(p: Params, m: int = 1) -> float:
 # Newton solver on the period map
 # ---------------------------------------------------------------------------
 
+# Residual |P(z) - z| at which Newton stops, and the iterations it may take.
+NEWTON_TOL = 1e-10
+NEWTON_ITERATIONS = 40
+
+
 def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
-                  t0: float = 0.0, *, tol: float = 1e-10,
-                  max_iter: int = 40, event_cap: int = 1_000_000) -> OrbitRecord:
+                  t0: float = 0.0, *, event_cap: int = 1_000_000) -> OrbitRecord:
     """Damped Newton solve of period_map^k(z) = z.
 
     A step is accepted only if it lowers the residual |P(z) - z|, else it
@@ -249,8 +230,8 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
     res = _pmj(p, (z[0], z[1]), t0, k, event_cap=event_cap)
     rvec = np.array(res.output) - z
     rnorm = float(np.hypot(*rvec))
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(NEWTON_ITERATIONS):
+        if rnorm <= NEWTON_TOL:
             break
         if res.jacobian is None:
             raise OrbitError("map derivative undefined along the iteration "
@@ -281,7 +262,7 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
                                  "exhausted (no step lowers the residual)")
     else:
         raise OrbitError(f"no periodic orbit found: residual {rnorm:.3g} "
-                         f"after {max_iter} iterations")
+                         f"after {NEWTON_ITERATIONS} iterations")
     if res.jacobian is None:
         raise OrbitError("converged point has undefined derivative")
     tr = res.trace
@@ -311,8 +292,13 @@ class FoldReport:
     state: tuple[float, float]
 
 
-# Newton updates one corrector call may take before it gives up.
+# Newton updates one corrector call may take before it gives up, and the
+# residual at which it stops.
 CORRECTOR_ITERATIONS = 25
+CORRECTOR_TOL = 1e-10
+# Arclength step bounds: halving below DS_MIN gives the branch up.
+DS_MIN = 1e-7
+DS_MAX = 2e-2
 
 
 @dataclass
@@ -337,9 +323,8 @@ class ContinuationResult:
 def continue_in_friction(p: Params, orbit: OrbitRecord, *,
                          f_min: float = 0.0, f_max: float | None = None,
                          k: int | None = None, direction: int = +1,
-                         ds: float = 1e-3, ds_min: float = 1e-7,
-                         ds_max: float = 2e-2, max_points: int = 5000,
-                         tol: float = 1e-10) -> ContinuationResult:
+                         ds: float = 1e-3,
+                         max_points: int = 5000) -> ContinuationResult:
     """Pseudo-arclength continuation of a fixed point of the k-period map
     in the friction parameter f.
 
@@ -390,7 +375,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
                 return None, None, n
             rhs = -np.append(np.array(res.output) - y_c[:2],
                              tangent @ (y_c - y_pred))
-            if np.abs(rhs).max() < tol:
+            if np.abs(rhs).max() < CORRECTOR_TOL:
                 return y_c, res, n
             try:
                 dy = np.linalg.solve(extended(res, tangent), rhs)
@@ -426,7 +411,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
     n_ok = 0
     while len(points) < max_points:
         advanced = False
-        while step >= ds_min:
+        while step >= DS_MIN:
             y_pred = y + step * tau
             y_new, res_new, n_iter = corrector(y_pred, tau)
             if y_new is not None and res_new.signature == base_sig:
@@ -458,7 +443,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
             break
         n_ok += 1
         if n_ok >= 3:
-            step = min(step * 1.4, ds_max)
+            step = min(step * 1.4, DS_MAX)
             n_ok = 0
         if y[2] > f_max and tau[2] > 0.0:
             termination = "range end (f_max)"
@@ -483,16 +468,13 @@ def _impacts_only(signature) -> bool:
 
 
 def _orbit_min_speed(p: Params, state, t0: float, k: int) -> float:
-    """Minimum |v| along the orbit's flight arcs (dense sampling)."""
+    """Exact minimum speed along the orbit's flight arcs (0 at rest)."""
     traj = simulate(p, PhaseState(state[0], state[1], t0), k * p.T)
     vmin = math.inf
     for seg in traj.segments:
         if not isinstance(seg, FlightSegment):
             return 0.0
-        n = 32
-        for i in range(n + 1):
-            t = seg.t0 + (seg.t1 - seg.t0) * i / n
-            vmin = min(vmin, abs(seg.arc.v(t)))
+        vmin = min(vmin, seg.arc.min_speed(seg.t0, seg.t1))
     return vmin
 
 

@@ -248,19 +248,17 @@ class InvarianceReport:
 
 
 def invariance_check(p: Params, region: RegionGrid, *, workers: int = 1,
-                     exclude_boundary: bool = True,
                      event_cap: int = 200_000) -> InvarianceReport:
     """Map every dissipative cell forward one period and re-classify the
     image point; a violation is an image that classifies area-preserving.
 
     Dissipative cells with a non-dissipative 8-neighbor (or on the grid
-    edge) sit within one cell of the region boundary and are excluded when
-    ``exclude_boundary``; images are classified at their exact landing
-    point, so membership does not depend on the grid window.
+    edge) sit within one cell of the region boundary and are excluded;
+    images are classified at their exact landing point, so membership does
+    not depend on the grid window.
     """
     mask = region.dissipative_mask()
-    interior = (np.logical_and.reduce(_neighbourhood(mask))
-                if exclude_boundary else mask)
+    interior = np.logical_and.reduce(_neighbourhood(mask))
     ivs, ixs = np.nonzero(interior)
     pts = np.column_stack([region.out_x[ivs, ixs], region.out_v[ivs, ixs]])
     if len(pts) == 0:
@@ -298,23 +296,23 @@ class CellVerdict:
 
 class AttractorRegistry:
     """Collects converged cycles so distinct cells attracted to the same
-    orbit share one id (match tolerance in phase-space distance)."""
+    orbit share one id (two cycles match within MATCH_TOL)."""
 
-    def __init__(self, match_tol: float = 1e-5):
+    def __init__(self):
         self.orbits: list[tuple[int, np.ndarray]] = []
-        self.match_tol = match_tol
 
     def identify(self, k: int, cycle: np.ndarray) -> int:
         for i, (kk, states) in enumerate(self.orbits):
             if kk != k:
                 continue
             d = min(np.hypot(*(states - cycle[0]).T))
-            if d < self.match_tol:
+            if d < MATCH_TOL:
                 return i
         self.orbits.append((k, cycle.copy()))
         return len(self.orbits) - 1
 
 
+MATCH_TOL = 1e-5
 CONVERGE_TOL = 1e-9
 CONVERGE_RUNS = 10
 MAX_CYCLE = 16

@@ -34,9 +34,8 @@ import numpy as np
 
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force, params_to_dict, spatial_envelope)
-from .flight import (HORIZON, IMPACT, IRREGULAR, EventKind, FlightArc,
-                     UniformFlightArcs, WallVanishingArcs, _arc, next_event,
-                     next_events)
+from .flight import (HORIZON, IMPACT, IRREGULAR, FlightArc, UniformFlightArcs,
+                     WallVanishingArcs, _arc, next_event, next_events)
 
 
 class SimulationError(RuntimeError):
@@ -447,22 +446,21 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         if sign == 0:
             raise ContractViolation("internal: flight requested without a sign")
         arc = _arc(p, x, v, t, sign, jac)
-        ev = next_event(p, arc, t_end)
+        kind, t_ev, x, v = next_event(p, arc, t_end)
         if record:
-            segments.append(FlightSegment(arc, t, ev.time))
+            segments.append(FlightSegment(arc, t, t_ev))
         if jac:
-            factors.append(("flight", arc.transport(t, ev.time),
-                            arc.friction_column(t, ev.time)))
+            factors.append(("flight", arc.transport(t, t_ev),
+                            arc.friction_column(t, t_ev)))
+        t = t_ev
 
-        x, v, t = ev.state.x, ev.state.v, ev.state.t
-
-        if ev.kind is EventKind.HORIZON:
+        if kind == HORIZON:
             break
-        if ev.wall != 0 and not ev.grazing:
-            reflect(ev.wall)
+        if kind == IMPACT:
+            reflect(sign)
             v, sign = -v, -sign
-        else:
-            v = 0.0  # velocity zero, inside or at a wall: resolved above
+        # a velocity zero (v = 0), inside or at a wall (IRREGULAR), is
+        # resolved above
 
     return RunResult(x, v, t_end, tuple(sig), counts, det, undefined,
                      factors, events, segments)

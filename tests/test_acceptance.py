@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from vibroimpact import (GridSpec, Nonexistence, OrbitError,
-                         OrbitType, PhaseState, classify_regions,
+                         OrbitType, PhaseState, SimulationError,
+                         classify_regions,
                          continue_in_friction, find_periodic,
                          finite_difference_jacobian, invariance_check,
                          island_area, lift_conjugacy_check, make_params,
@@ -141,7 +142,7 @@ def test_ac04_determinants():
         z = (rng.uniform(0.05, 0.95) * R, rng.uniform(-3.0, 3.0))
         try:
             res = period_map_jacobian(p, z, event_cap=20_000)
-        except Exception:
+        except SimulationError:
             continue
         if res.undefined:
             continue

@@ -169,6 +169,36 @@ def assert_equals_scalar(p, xs, vs, t0):
     return b
 
 
+# Rest starts this far from a wall: the arc that leaves rest there can
+# reach the wall at once, with a velocity of roundoff size and either sign.
+ROUNDOFF_GAPS = (1e-300, 1e-200, 1e-119, 1e-60, 1e-30, 1e-17, 1e-16, 1e-15)
+
+
+@pytest.mark.parametrize("p", PARAMS[2:4])
+def test_rest_next_to_a_wall_maps_inside(p):
+    """A wall hit with no speed into the wall is a grazing contact, not an
+    impact: from rest within roundoff of either wall, at 12 phases, every
+    image lies inside the walls, the batch equals the scalar map bit for
+    bit, and the Jacobian map gives the same image without raising."""
+    gaps = np.array(ROUNDOFF_GAPS)
+    xs = np.concatenate([p.l + gaps, p.r - gaps])
+    for k in range(12):
+        t0 = k * p.T / 12
+        b = assert_equals_scalar(p, xs, np.zeros_like(xs), t0)
+        assert np.all((p.l <= b.out_x) & (b.out_x <= p.r))
+        for x, image in zip(xs, zip(b.out_x, b.out_v)):
+            assert period_map_jacobian(p, (x, 0.0), t0).output == image
+
+
+def test_roundoff_wall_hits_are_grazing():
+    # the left-wall hit carries v = +6.7e-17, speed out of the wall
+    out = period_map(PARAMS[2], (1.8e-119, 0.0), 1.0).output
+    assert PARAMS[2].l <= out[0] <= PARAMS[2].r
+    # the left-wall hit carries v = 0: no reflection factor exists
+    res = period_map_jacobian(PARAMS[3], (1.8e-119, 0.0), 2.0)
+    assert res.undefined and "G" in res.signature
+
+
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from(WV_PARAMS),
        cells=st.lists(st.tuples(st.floats(-1.0 + 1e-6, 1.0 - 1e-6),

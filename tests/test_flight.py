@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibroimpact import (ContractViolation, EventKind, PhaseState, make_arc,
-                         make_params, next_event)
-from vibroimpact.flight import UniformFlightArc, UniformFlightArcs
+from vibroimpact import (ContractViolation, PhaseState, make_arc, make_params,
+                         next_event)
+from vibroimpact.flight import (HORIZON, IMPACT, VELOCITY_ZERO, UniformFlightArc,
+                                UniformFlightArcs)
 
 
 def test_force_free_drift_arc():
@@ -65,38 +66,53 @@ def test_first_impact_at_analytic_time():
     # 1 - cos t reaches the wall at 0.8 when t = arccos(0.2)
     p = make_params(F=1.0, f=0.0, omega=1.0, l=0.0, r=0.8)
     arc = make_arc(p, PhaseState(0.0, 0.0, 0.0), 1)
-    ev = next_event(p, arc, 20.0)
-    assert ev.kind is EventKind.IMPACT_RIGHT
-    assert ev.time == pytest.approx(math.acos(0.2), abs=1e-12)
-    assert ev.state.x == 0.8
+    kind, t, x, v = next_event(p, arc, 20.0)
+    assert kind == IMPACT and x == 0.8
+    assert t == pytest.approx(math.acos(0.2), abs=1e-12)
+    assert v == pytest.approx(math.sin(t), abs=1e-14)
 
 
 def test_drift_impact():
     p = make_params(F=0.0, f=0.0, omega=1.0, l=0.0, r=1.0)
     arc = make_arc(p, PhaseState(0.1, 0.5, 0.0), 1)
-    ev = next_event(p, arc, 10.0)
-    assert ev.kind is EventKind.IMPACT_RIGHT
-    assert ev.time == pytest.approx(1.8, abs=1e-12)
+    kind, t, x, v = next_event(p, arc, 10.0)
+    assert kind == IMPACT and x == 1.0
+    assert t == pytest.approx(1.8, abs=1e-12)
 
 
 def test_velocity_zero_at_pi():
     # from rest at t=0 with f=0: v(t) = sin t vanishes next at t = pi
     p = make_params(F=1.0, f=0.0, omega=1.0, l=-100.0, r=100.0)
     arc = make_arc(p, PhaseState(0.0, 0.0, 0.0), 1)
-    ev = next_event(p, arc, 10.0)
-    assert ev.kind is EventKind.VELOCITY_ZERO
-    assert ev.time == pytest.approx(math.pi, abs=1e-12)
-    assert ev.state.v == 0.0
+    kind, t, x, v = next_event(p, arc, 10.0)
+    assert kind == VELOCITY_ZERO
+    assert t == pytest.approx(math.pi, abs=1e-12)
+    assert v == 0.0
 
 
 def test_horizon_event():
     p = make_params(F=1.0, f=0.0, omega=1.0, l=-100.0, r=100.0)
     arc = make_arc(p, PhaseState(0.0, 0.0, 0.0), 1)
-    ev = next_event(p, arc, 1.0)
-    assert ev.kind is EventKind.HORIZON
-    assert ev.time == 1.0
+    kind, t, x, v = next_event(p, arc, 1.0)
+    assert kind == HORIZON
+    assert t == 1.0 and (x, v) == (arc.x(1.0), arc.v(1.0))
     with pytest.raises(ContractViolation):
         next_event(p, arc, -1.0)
+
+
+@pytest.mark.parametrize("v0,sign", [(2.0, 1), (-2.0, -1)])
+def test_min_speed_is_the_exact_minimum(v0, sign):
+    """Over five periods ``accel_zeros`` lists all ten acceleration zeros,
+    and ``min_speed`` is the minimum of sign * v: a dense sample lies no
+    lower, and comes within its own spacing's error of it."""
+    p = make_params(F=1.0, f=0.3, omega=1.3, l=-100.0, r=100.0)
+    arc = UniformFlightArc(p, 0.0, v0, 0.4, sign)
+    a, b = 0.4, 0.4 + 5 * p.T
+    zeros = arc.accel_zeros(a, b)
+    assert len(zeros) == 10 and zeros == sorted(zeros)
+    assert all(a < t < b and abs(arc.accel(t)) < 1e-12 for t in zeros)
+    sampled = min(sign * arc.v(t) for t in np.linspace(a, b, 20_001))
+    assert sampled - 1e-6 <= arc.min_speed(a, b) <= sampled
 
 
 @given(x0=st.floats(-0.5, 0.5), v0=st.floats(0.05, 3.0),
@@ -107,31 +123,31 @@ def test_event_is_first_by_dense_sampling(x0, v0, f, om, t0):
     """No earlier sign change of the event functions exists on the arc."""
     p = make_params(F=1.0, f=f, omega=om, l=-1.0, r=1.0)
     arc = make_arc(p, PhaseState(x0, v0, t0), 1)
-    ev = next_event(p, arc, t0 + 3 * p.T)
-    ts = np.linspace(t0, ev.time, 10_000, endpoint=False)[1:]
+    kind, t, x, v = next_event(p, arc, t0 + 3 * p.T)
+    ts = np.linspace(t0, t, 10_000, endpoint=False)[1:]
     xs = np.array([arc.x(t) for t in ts])
     vs = np.array([arc.v(t) for t in ts])
     assert np.all(vs > 0), "velocity sign change before the reported event"
     assert np.all(xs < 1.0 + 1e-10), "wall crossing before the reported event"
     assert np.all(xs > -1.0 - 1e-10)
     # continuity at the event
-    if ev.kind is EventKind.IMPACT_RIGHT:
-        assert abs(arc.x(ev.time) - 1.0) < 1e-12
-    elif ev.kind is EventKind.VELOCITY_ZERO:
-        assert abs(arc.v(ev.time)) < 1e-12
+    if kind == IMPACT:
+        assert x == 1.0 and abs(arc.x(t) - 1.0) < 1e-12
+    elif kind == VELOCITY_ZERO:
+        assert abs(arc.v(t)) < 1e-12
 
 
 def test_wall_vanishing_arc_events(wall_vanishing):
     p = wall_vanishing
     arc_state = PhaseState(0.0, 1.2, 0.0)
     arc = make_arc(p, arc_state, 1)
-    ev = next_event(p, arc, 5.0 * p.T)
-    assert ev.kind in (EventKind.IMPACT_RIGHT, EventKind.VELOCITY_ZERO)
+    kind, t, x, v = next_event(p, arc, 5.0 * p.T)
+    assert kind in (IMPACT, VELOCITY_ZERO)
     # residual of the event condition on the integrated arc
-    if ev.kind is EventKind.IMPACT_RIGHT:
-        assert abs(arc.x(ev.time) - 1.0) < 1e-10
+    if kind == IMPACT:
+        assert x == 1.0 and abs(arc.x(t) - 1.0) < 1e-10
     else:
-        assert abs(arc.v(ev.time)) < 1e-10
+        assert abs(arc.v(t)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,28 @@ def test_turning_cell_det_is_factor_product(fast):
     assert turning_factor(0.5, 0.05)[1, 1] == pytest.approx(0.45 / 0.55)
 
 
+@pytest.mark.parametrize("params,x_range,v_range,n,t0", [
+    ((1.0, 0.05, 2.0 * math.pi, -1.0, 1.0), (-1.0, 1.0), (-2.0, 2.0), 60, 0.0),
+    ((1.0, 0.05, 2.0 * math.pi, -1.0, 1.0), (-1.0, 1.0), (-2.0, 2.0), 60, 0.3),
+    ((1.0, 0.005, 1.0, 0.0, 0.8), (0.0, 0.8), (-1.0, 1.0), 40, 0.0),
+    ((1.0, 0.1, 2.0 * math.pi, -1.0, 1.0, "wall_vanishing"), (-1.0, 1.0),
+     (-3.0, 3.0), 24, 0.0),
+])
+def test_region_grid_sigma_equivariance(params, x_range, v_range, n, t0):
+    """The region grid at t0 + T/2 is the grid at t0 flipped on both axes,
+    sigma(x, v) = (l + r - x, -v) mapping cell centers onto cell centers:
+    equal classes, and dets and images within 1e-10 (the roundoff of the
+    shifted phase and of the mirrored centers)."""
+    p = make_params(*params)
+    a = classify_regions(p, GridSpec(x_range, v_range, n, n, t0=t0))
+    b = classify_regions(p, GridSpec(x_range, v_range, n, n,
+                                     t0=t0 + 0.5 * p.T))
+    np.testing.assert_array_equal(b.classes, a.classes[::-1, ::-1])
+    for got, want in ((b.det, a.det), (b.out_x, p.l + p.r - a.out_x),
+                      (b.out_v, -a.out_v)):
+        np.testing.assert_allclose(got, want[::-1, ::-1], rtol=0.0, atol=1e-10)
+
+
 def test_region_grid_csv_and_tile(fast):
     g = GridSpec((-1, 1), (-2, 2), 8, 6)
     rg = classify_regions(fast, g)

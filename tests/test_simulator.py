@@ -359,12 +359,7 @@ def test_wall_contact_branches(x0, t0, f, sig, pressed, image, jac):
 
 def _resolved_in_engine(params, data):
     p = data.draw(st.sampled_from(params))
-    # on a wall, or at least 1e-9 R inside: an arc leaving rest within
-    # roundoff of a wall can report an impact with zero or outward
-    # velocity, a flight-layer defect outside these rules
-    gap = 1e-9 * p.R
-    x = data.draw(st.one_of(st.floats(p.l + gap, p.r - gap),
-                            st.sampled_from([p.l, p.r])))
+    x = data.draw(st.one_of(st.floats(p.l, p.r), st.sampled_from([p.l, p.r])))
     v = data.draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
     t0 = data.draw(st.floats(0.0, p.T))
     tr = simulate(p, PhaseState(x, v, t0), p.T)
