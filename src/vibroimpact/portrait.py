@@ -5,6 +5,10 @@ attractor verdicts, and invariant-island area estimates.
 All grid evaluations iterate the period map with the phase reset to t0
 each period (T-periodicity makes this exact), so results are independent
 of accumulated absolute time and byte-stable for a fixed seed.
+
+Clouds, verdicts and island fills iterate in one batched loop,
+``_iterate_batch``, from which each cell drops out once its question is
+settled; the verdict rules run on arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import Params
-from .simulator import SimulationError
-from .strobemap import BATCH_CELLS, CLASS_CODE, period_map, period_map_batch
-# unused here; a module attribute that perfbench/spans.py wraps by name
-from .strobemap import period_map_jacobian  # noqa: F401
+from .model import ContractViolation, ForceLaw, Params
+from .simulator import _cap_error
+from .strobemap import BATCH_CELLS, CLASS_CODE, _map_each, period_map_batch
+# unused here; module attributes that perfbench/spans.py wraps by name
+from .strobemap import period_map, period_map_jacobian  # noqa: F401
 
 
 class GridError(ValueError):
@@ -51,6 +55,8 @@ class GridSpec:
         if not (self.x_range[0] < self.x_range[1]
                 and self.v_range[0] < self.v_range[1]):
             raise GridError("ranges must be increasing")
+        if self.iterations < 1 or self.transient < 0:
+            raise GridError("need iterations >= 1 and transient >= 0")
 
     def validate_against(self, p: Params) -> None:
         if self.x_range[0] < p.l - 1e-12 or self.x_range[1] > p.r + 1e-12:
@@ -102,28 +108,32 @@ class CloudResult:
 
 def iterate_cloud(p: Params, grid: GridSpec, seeds: np.ndarray | None = None,
                   *, event_cap: int = 100_000) -> CloudResult:
-    """Per-seed stroboscopic sequences after the transient skip."""
+    """Per-seed stroboscopic sequences after the transient skip.  A seed
+    whose map hits the event cap keeps the points mapped before it."""
     grid.validate_against(p)
     if seeds is None:
         seeds = grid.cells()
-    points: list[np.ndarray] = []
-    errors: dict[int, str] = {}
-    for i, (x, v) in enumerate(np.asarray(seeds, dtype=float)):
-        z = (float(x), float(v))
-        kept = np.empty((grid.iterations, 2))
-        n_kept = 0
-        try:
-            for n in range(grid.transient + grid.iterations):
-                res = period_map(p, z, grid.t0, event_cap=event_cap)
-                z = res.output
-                if n >= grid.transient:
-                    kept[n_kept] = z
-                    n_kept += 1
-        except SimulationError as exc:
-            errors[i] = str(exc)
-        points.append(kept[:n_kept].copy())
-    return CloudResult(spec=grid, seeds=np.asarray(seeds, dtype=float),
-                       points=points, errors=errors)
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
+    kept = np.empty((len(seeds), grid.iterations, 2))
+    n_kept = np.zeros(len(seeds), dtype=np.int64)
+
+    def stays(n, idx, b):
+        ok = ~b.capped
+        if n > grid.transient:
+            kept[idx[ok], n - grid.transient - 1] = np.column_stack(
+                [b.out_x[ok], b.out_v[ok]])
+            n_kept[idx[ok]] += 1
+        return ok
+
+    mapped = _iterate_batch(p, seeds[:, 0], seeds[:, 1], grid.t0,
+                            grid.transient + grid.iterations, event_cap,
+                            stays)[2]
+    message = str(_cap_error(event_cap))
+    return CloudResult(spec=grid, seeds=seeds,
+                       points=[kept[i, :m].copy()
+                               for i, m in enumerate(n_kept.tolist())],
+                       errors={i: message
+                               for i in np.flatnonzero(~mapped).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +306,22 @@ class CellVerdict:
 
 class AttractorRegistry:
     """Collects converged cycles so distinct cells attracted to the same
-    orbit share one id (two cycles match within MATCH_TOL)."""
+    orbit share one id (two cycles match within MATCH_TOL).  Ids number the
+    distinct cycles in the order they are first identified."""
 
     def __init__(self):
-        self.orbits: list[tuple[int, np.ndarray]] = []
+        # per cycle period k: the ids and the (m, k, 2) states of its orbits
+        self.orbits: dict[int, tuple[list[int], np.ndarray]] = {}
 
     def identify(self, k: int, cycle: np.ndarray) -> int:
-        for i, (kk, states) in enumerate(self.orbits):
-            if kk != k:
-                continue
-            d = min(np.hypot(*(states - cycle[0]).T))
-            if d < MATCH_TOL:
-                return i
-        self.orbits.append((k, cycle.copy()))
-        return len(self.orbits) - 1
+        ids, states = self.orbits.get(k, ([], np.empty((0, k, 2))))
+        # distance of cycle[0] to each stored orbit: the nearest of its states
+        near = np.hypot(*(states - cycle[0]).T).min(axis=0) < MATCH_TOL
+        if near.any():
+            return ids[int(near.argmax())]
+        oid = sum(len(i) for i, _ in self.orbits.values())
+        self.orbits[k] = (ids + [oid], np.concatenate([states, cycle[None]]))
+        return oid
 
 
 MATCH_TOL = 1e-5
@@ -332,57 +344,9 @@ def classify_cell(p: Params, x: float, v: float, t0: float = 0.0, *,
     sticking_transient: budget exhausted after stick events.
     escaped_budget: budget exhausted, no convergence (e.g. chaotic sea).
     """
-    z = (float(x), float(v))
-    hist = np.empty((budget + 1, 2))
-    hist[0] = z
-    runs = np.zeros(MAX_CYCLE + 1, dtype=int)
-    impacts_recent = []
-    island_ok = True
-    stick_seen = False
-    det_last = math.nan
-    for n in range(1, budget + 1):
-        try:
-            res = period_map(p, z, t0, event_cap=event_cap)
-        except SimulationError:
-            return CellVerdict(Verdict.STICKING_TRANSIENT if stick_seen
-                               else Verdict.ESCAPED, n, z, det_last=det_last)
-        c = res.event_summary
-        det_last = res.det
-        dissip = c["turnings"] + c["sticks"] + c["grazings"]
-        if dissip:
-            island_ok = False
-        if c["sticks"]:
-            stick_seen = True
-        impacts_recent.append(c["impacts_left"] + c["impacts_right"])
-        if len(impacts_recent) > NO_IMPACT_QUIET:
-            impacts_recent.pop(0)
-        z = res.output
-        hist[n] = z
-        for k in range(1, min(MAX_CYCLE, n) + 1):
-            if abs(z[0] - hist[n - k][0]) < CONVERGE_TOL \
-                    and abs(z[1] - hist[n - k][1]) < CONVERGE_TOL:
-                runs[k] += 1
-            else:
-                runs[k] = 0
-            if runs[k] >= CONVERGE_RUNS:
-                if island_ok:
-                    return CellVerdict(Verdict.ISLAND, n, z, orbit_period=k,
-                                       det_last=det_last)
-                if abs(z[1]) < NO_IMPACT_VTOL and sum(impacts_recent) == 0:
-                    return CellVerdict(Verdict.NO_IMPACT_LINE, n, z,
-                                       det_last=det_last)
-                oid = None
-                if registry is not None:
-                    cycle = hist[n - k + 1:n + 1]
-                    oid = registry.identify(k, cycle)
-                return CellVerdict(Verdict.PERIODIC_ORBIT, n, z, orbit_id=oid,
-                                   orbit_period=k, det_last=det_last)
-    if island_ok:
-        return CellVerdict(Verdict.ISLAND, budget, z, det_last=det_last)
-    if stick_seen:
-        return CellVerdict(Verdict.STICKING_TRANSIENT, budget, z,
-                           det_last=det_last)
-    return CellVerdict(Verdict.ESCAPED, budget, z, det_last=det_last)
+    if budget < 1:
+        raise ContractViolation("budget must be >= 1")
+    return _verdicts(p, [x], [v], t0, budget, registry, event_cap)[0]
 
 
 def classify_cells(p: Params, grid: GridSpec, *,
@@ -392,9 +356,70 @@ def classify_cells(p: Params, grid: GridSpec, *,
     grid.validate_against(p)
     if registry is None:
         registry = AttractorRegistry()
-    return [classify_cell(p, x, v, grid.t0, budget=grid.iterations,
-                          registry=registry, event_cap=event_cap)
-            for x, v in grid.cells()]
+    cells = grid.cells()
+    return _verdicts(p, cells[:, 0], cells[:, 1], grid.t0, grid.iterations,
+                     registry, event_cap)
+
+
+def _verdicts(p: Params, xs, vs, t0: float, budget: int,
+              registry: AttractorRegistry | None, event_cap: int
+              ) -> list[CellVerdict]:
+    """``classify_cell`` of many seeds in one batch.  A cell drops out when
+    it converges or hits the event cap, so its last states, flags and det
+    stay as they were then; verdicts and registry ids are given after the
+    loop, in cell order."""
+    n_cells, slots = len(xs), MAX_CYCLE + 1
+    ring = np.empty((n_cells, slots, 2))       # state n sits at n % slots
+    ring[:, 0] = np.column_stack([xs, vs])
+    runs = np.zeros((n_cells, MAX_CYCLE), dtype=np.int64)   # k = 1..MAX_CYCLE
+    quiet = np.full(n_cells, NO_IMPACT_QUIET)  # periods since the last impact
+    island_ok = np.ones(n_cells, dtype=bool)
+    stick_seen = np.zeros(n_cells, dtype=bool)
+    det_last = np.full(n_cells, math.nan)
+    ends = [(budget, None)] * n_cells          # periods used, cycle period
+
+    def stays(n, idx, b):
+        for c in idx[b.capped].tolist():
+            ends[c] = (n, None)
+        ok = ~b.capped
+        i, z = idx[ok], np.column_stack([b.out_x[ok], b.out_v[ok]])
+        det_last[i] = b.det[ok]
+        island_ok[i] &= ~b.dissipative[ok]
+        stick_seen[i] |= b.counts[ok, 2] > 0
+        quiet[i] = np.where(b.counts[ok, 0] > 0, 0, quiet[i] + 1)
+        m = min(MAX_CYCLE, n)
+        past = ring[i[:, None], (n - 1 - np.arange(m)) % slots]  # k = 1..m
+        close = (np.abs(z[:, None] - past) < CONVERGE_TOL).all(axis=2)
+        runs[i, :m] = np.where(close, runs[i, :m] + 1, 0)
+        ring[i, n % slots] = z
+        hit = runs[i, :m] >= CONVERGE_RUNS
+        conv = hit.any(axis=1)
+        for c, k in zip(i[conv].tolist(),
+                        (hit[conv].argmax(axis=1) + 1).tolist()):
+            ends[c] = (n, k)                   # the smallest converged k
+        ok[ok] = ~conv
+        return ok
+
+    x, v, alive = _iterate_batch(p, xs, vs, t0, budget, event_cap, stays)
+    out = []
+    for c, (n, k) in enumerate(ends):
+        oid = None
+        if k is None:                          # budget out or event cap hit
+            kind = (Verdict.ISLAND if alive[c] and island_ok[c]
+                    else Verdict.STICKING_TRANSIENT if stick_seen[c]
+                    else Verdict.ESCAPED)
+        elif island_ok[c]:
+            kind = Verdict.ISLAND
+        elif abs(v[c]) < NO_IMPACT_VTOL and quiet[c] >= NO_IMPACT_QUIET:
+            kind, k = Verdict.NO_IMPACT_LINE, None
+        else:
+            kind = Verdict.PERIODIC_ORBIT
+            if registry is not None:
+                cycle = ring[c, np.arange(n - k + 1, n + 1) % slots]
+                oid = registry.identify(k, cycle)
+        out.append(CellVerdict(kind, n, (float(x[c]), float(v[c])), oid, k,
+                               float(det_last[c])))
+    return out
 
 
 def verdicts_csv(grid: GridSpec, verdicts: list[CellVerdict]) -> str:
@@ -425,21 +450,32 @@ def _neighbourhood(mask: np.ndarray) -> list[np.ndarray]:
             for dj in (-1, 0, 1) for di in (-1, 0, 1)]
 
 
+# Under the uniform law, live sets smaller than this are mapped one cell at a
+# time: there a lockstep pass costs more than it saves (measured crossover).
+SCALAR_CELLS = 96
+
+
 def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
                    event_cap: int, stays) -> tuple[np.ndarray, np.ndarray,
                                                   np.ndarray]:
-    """Iterate the period map on many states at once.  After each period
-    ``stays(batch)`` picks the cells that go on; the others drop out.
-    Returns the last states and the mask of cells that stayed throughout."""
+    """Iterate the period map on many states at once.  After period n
+    (from 1) ``stays(n, idx, b)`` gets the map b of the live cells idx and
+    picks the cells that go on; the others drop out.  A cap hit keeps the
+    state from before that map.  Returns the last states and the mask of
+    cells that stayed throughout."""
     x = np.array(xs, dtype=float)
     v = np.array(vs, dtype=float)
     idx = np.arange(len(x))
-    for _ in range(n_periods):
+    uniform = p.force_law is ForceLaw.UNIFORM
+    for n in range(1, n_periods + 1):
         if not idx.size:
             break
-        b = period_map_batch(p, x[idx], v[idx], t0, event_cap=event_cap)
-        x[idx], v[idx] = b.out_x, b.out_v
-        idx = idx[stays(b)]
+        one_by_one = uniform and idx.size < SCALAR_CELLS
+        b = (_map_each if one_by_one else period_map_batch)(
+            p, x[idx], v[idx], t0, event_cap=event_cap)
+        ok = ~b.capped
+        x[idx[ok]], v[idx[ok]] = b.out_x[ok], b.out_v[ok]
+        idx = idx[stays(n, idx, b)]
     alive = np.zeros(len(x), dtype=bool)
     alive[idx] = True
     return x, v, alive
@@ -454,7 +490,7 @@ def _island_cells(p: Params, xs, vs, t0: float, n_periods: int,
     hit counts as not an island."""
     bx0, bx1, bv0, bv1 = box
 
-    def stays(b):
+    def stays(n, idx, b):
         return (~b.capped & ~b.dissipative
                 & (bx0 <= b.out_x) & (b.out_x <= bx1)
                 & (bv0 <= b.out_v) & (b.out_v <= bv1))
@@ -561,7 +597,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     sub = pts[inside][:mc_forward]
     zx, zv, mapped = _iterate_batch(p, sub[:, 0], sub[:, 1], t0,
                                     forward_periods, event_cap,
-                                    lambda b: ~b.capped)
+                                    lambda n, idx, b: ~b.capped)
     # int() truncation, as for the cell index of a single point
     i = ((zx[mapped] - bx0) / dx).astype(np.int64)
     j = ((zv[mapped] - bv0) / dv).astype(np.int64)

@@ -42,6 +42,11 @@ class SimulationError(RuntimeError):
     """Event cascade exceeded the configured cap."""
 
 
+def _cap_error(event_cap: int) -> SimulationError:
+    return SimulationError(f"event cascade exceeded cap of {event_cap} events "
+                           f"(possible chatter or degenerate configuration)")
+
+
 class ResolvedKind(str, Enum):
     IMPACT = "impact"
     TURNING = "turning"
@@ -347,9 +352,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         nonlocal n_events
         n_events += 1
         if n_events > event_cap:
-            raise SimulationError(
-                f"event cascade exceeded cap of {event_cap} events "
-                f"(possible chatter or degenerate configuration)")
+            raise _cap_error(event_cap)
         if ev is not None:
             sig.append(_code(ev))
             if record:

@@ -39,8 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ContractViolation, Params, PhaseState
-from .simulator import (SimulationError, _advance, _advance_batch,
-                        reflection_factor, turning_factor)  # noqa: F401  (re-exported)
+from .simulator import SimulationError, _advance, _advance_batch
 
 
 class MapClass(str, Enum):
@@ -199,22 +198,34 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
                                      CLASS_CODE[MapClass.CONTRACTING]))
         counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
             run.impacts, run.turnings, run.sticks)
-        for i in lo + np.flatnonzero(run.fallback):
-            try:
-                res = period_map(p, (xs[i], vs[i]), t0, event_cap=event_cap)
-            except SimulationError:
-                out_x[i] = out_v[i] = det[i] = math.nan
-                code[i] = CLASS_CODE[MapClass.UNDEFINED]
-                counts[i] = 0
-                capped[i] = True
-                continue
-            c = res.event_summary
-            out_x[i], out_v[i] = res.output
-            det[i] = res.det
-            code[i] = CLASS_CODE[res.classification]
-            counts[i] = (c["impacts_left"] + c["impacts_right"], c["turnings"],
-                         c["sticks"], c["grazings"])
+        i = lo + np.flatnonzero(run.fallback)
+        b = _map_each(p, xs[i], vs[i], t0, event_cap=event_cap)
+        out_x[i], out_v[i], det[i] = b.out_x, b.out_v, b.det
+        code[i], counts[i], capped[i] = b.code, b.counts, b.capped
     return MapBatch(out_x, out_v, det, code, counts, capped)
+
+
+def _map_each(p: Params, xs, vs, t0: float, *, event_cap: int) -> MapBatch:
+    """``period_map`` of the states (xs[i], vs[i]) one at a time, as a
+    MapBatch: the rows the lockstep kernel hands back, and small sets for
+    which a lockstep pass costs more than it saves."""
+    n = len(xs)
+    out = np.full((3, n), math.nan)            # x, v, det
+    code = np.full(n, CLASS_CODE[MapClass.UNDEFINED], dtype=np.uint8)
+    counts = np.zeros((n, 4), dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    for i in range(n):
+        try:
+            res = period_map(p, (xs[i], vs[i]), t0, event_cap=event_cap)
+        except SimulationError:
+            capped[i] = True
+            continue
+        c = res.event_summary
+        out[:, i] = (*res.output, res.det)
+        code[i] = CLASS_CODE[res.classification]
+        counts[i] = (c["impacts_left"] + c["impacts_right"], c["turnings"],
+                     c["sticks"], c["grazings"])
+    return MapBatch(*out, code, counts, capped)
 
 
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,

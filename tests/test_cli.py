@@ -74,6 +74,18 @@ def test_portrait_bad_grid(cfg):
                  "--nx", "1", "--nv", "12"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--iterations", "0"],
+                                   ["--iterations", "-3"],
+                                   ["--transient", "-2"]])
+def test_portrait_bad_iteration_counts(cfg, tmp_path, capsys, flags):
+    out = str(tmp_path / "c")
+    assert main(["portrait", "--config", cfg, "--mode", "cloud", "--nx", "2",
+                 "--nv", "2", "--out-prefix", out, *flags]) == 2
+    assert ("error: need iterations >= 1 and transient >= 0"
+            in capsys.readouterr().err)
+    assert not Path(out + "_cloud.csv").exists()
+
+
 def test_portrait_determinism(cfg, tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vibroimpact import (AttractorRegistry, GridError, GridSpec,
-                         IslandSeedError, MapClass, RegionGrid, Verdict,
+from vibroimpact import (AttractorRegistry, ContractViolation, GridError,
+                         GridSpec, IslandSeedError, MapClass, RegionGrid,
+                         Verdict,
                          classify_cell, classify_cells, classify_regions,
                          find_periodic,
                          invariance_check, island_area, iterate_cloud,
@@ -14,7 +15,7 @@ from vibroimpact import (AttractorRegistry, GridError, GridSpec,
                          symmetric_orbit_formula, symmetric_orbit_state,
                          tile_from_bytes)
 from vibroimpact.portrait import _neighbourhood
-from vibroimpact.strobemap import turning_factor
+from vibroimpact.simulator import turning_factor
 
 
 def test_gridspec_validation(fast):
@@ -25,6 +26,20 @@ def test_gridspec_validation(fast):
     g = GridSpec((-2.0, 2.0), (0.0, 1.0), 10, 10)
     with pytest.raises(GridError):
         g.validate_against(fast)
+
+
+@pytest.mark.parametrize("counts", [dict(iterations=0), dict(iterations=-3),
+                                    dict(transient=-2)])
+def test_gridspec_refuses_iteration_counts(counts):
+    """No period to keep (iterations < 1) or a negative transient."""
+    with pytest.raises(GridError, match="iterations >= 1 and transient >= 0"):
+        GridSpec((-1, 1), (-2, 2), 2, 2, **counts)
+
+
+@pytest.mark.parametrize("budget", [0, -1, -5])
+def test_classify_cell_refuses_an_empty_budget(narrow_lowfric, budget):
+    with pytest.raises(ContractViolation, match="budget must be >= 1"):
+        classify_cell(narrow_lowfric, 0.45, 0.1, budget=budget)
 
 
 def test_cloud_fixed_point_is_constant(fast):

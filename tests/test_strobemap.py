@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vibroimpact import (ContractViolation, MapClass,
                          finite_difference_jacobian, make_params, period_map,
                          period_map_jacobian)
-from vibroimpact.strobemap import reflection_factor, turning_factor
+from vibroimpact.simulator import reflection_factor, turning_factor
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
 from tests.test_batch import FAST, PARAMS, WV_PARAMS
