@@ -55,33 +55,32 @@ def load_config(path: str) -> dict:
     return out
 
 
+def _pick(args, section: dict, default, **casts):
+    """Flag, then config section, then default.  Each keyword names a flag
+    and config key that gives the setting, through its cast; any of the
+    flags beats every config key."""
+    for source in (vars(args), section):
+        for name, cast in casts.items():
+            if source.get(name) is not None:
+                return cast(source[name])
+    return default
+
+
+def _span(val) -> tuple[float, float]:
+    """A range from a flag's tuple or a config's "a,b" string."""
+    a, b = (float(s) for s in (val.split(",") if isinstance(val, str) else val))
+    return (a, b)
+
+
 def _grid_from(cfg: dict, args, p: Params) -> GridSpec:
-    g = dict(cfg.get("grid", {}))
-
-    def pick(name, cast, default):
-        cli = getattr(args, name.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        if name in g:
-            return cast(g[name])
-        return default
-
-    def rng(name, default):
-        val = pick(name, str, None)
-        if val is None:
-            return default
-        if isinstance(val, str):
-            a, b = (float(s) for s in val.split(","))
-            return (a, b)
-        return val
-
-    x_range = rng("x_range", (p.l, p.r))
-    v_range = rng("v_range", (-2.0, 2.0))
-    return GridSpec(x_range=x_range, v_range=v_range,
-                    nx=int(pick("nx", int, 100)), nv=int(pick("nv", int, 100)),
-                    t0=float(pick("t0", float, 0.0)),
-                    iterations=int(pick("iterations", int, 200)),
-                    transient=int(pick("transient", int, 0)))
+    g = cfg.get("grid", {})
+    return GridSpec(x_range=_pick(args, g, (p.l, p.r), x_range=_span),
+                    v_range=_pick(args, g, (-2.0, 2.0), v_range=_span),
+                    nx=_pick(args, g, 100, nx=int),
+                    nv=_pick(args, g, 100, nv=int),
+                    t0=_pick(args, g, 0.0, t0=float),
+                    iterations=_pick(args, g, 200, iterations=int),
+                    transient=_pick(args, g, 0, transient=int))
 
 
 def _write(path: str, content: str | bytes) -> None:
@@ -98,16 +97,13 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = params_from_dict(cfg["params"])
     run = cfg.get("run", {})
-    periods = args.periods if args.periods is not None else int(run.get("periods", 0))
-    duration = args.duration if args.duration is not None else \
-        (float(run.get("duration", 0.0)) or None)
-    if duration is None:
-        if periods <= 0:
-            raise ConfigError("need --periods >= 1 (or a duration)")
-        duration = periods * p.T
-    x0 = args.x0 if args.x0 is not None else float(run.get("x0", 0.0))
-    v0 = args.v0 if args.v0 is not None else float(run.get("v0", 0.0))
-    t0 = args.t0 if args.t0 is not None else float(run.get("t0", 0.0))
+    duration = _pick(args, run, 0.0, duration=float,
+                     periods=lambda n: int(n) * p.T)
+    if duration <= 0:
+        raise ConfigError("need --periods >= 1 (or a duration)")
+    x0 = _pick(args, run, 0.0, x0=float)
+    v0 = _pick(args, run, 0.0, v0=float)
+    t0 = _pick(args, run, 0.0, t0=float)
     traj = simulate(p, PhaseState(x0, v0, t0), duration)
     dt = args.sample_dt if args.sample_dt is not None else p.T / 100.0
     _write(args.out_prefix + "_events.json", traj.to_json())
@@ -152,8 +148,8 @@ def cmd_continue(args) -> int:
     cfg = load_config(args.config)
     p = params_from_dict(cfg["params"])
     run = cfg.get("run", {})
-    branch = args.branch if args.branch is not None else int(run.get("branch", 1))
-    k = args.k if args.k is not None else int(run.get("k", 1))
+    branch = _pick(args, run, 1, branch=int)
+    k = _pick(args, run, 1, k=int)
     try:
         orbit = symmetric_orbit(p, branch, m=k)
     except Nonexistence as exc:
@@ -241,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         """Grid flags; unset ones fall back to the config's [grid] section."""
         sp.add_argument("--nx", type=int)
         sp.add_argument("--nv", type=int)
-        sp.add_argument("--x-range", type=lambda s: tuple(float(v) for v in s.split(",")))
-        sp.add_argument("--v-range", type=lambda s: tuple(float(v) for v in s.split(",")))
+        sp.add_argument("--x-range", type=_span)
+        sp.add_argument("--v-range", type=_span)
         sp.add_argument("--t0", type=float)
         sp.add_argument("--workers", type=int, default=0,
                         help="parallel workers (default: cpu count)")

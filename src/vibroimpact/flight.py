@@ -54,6 +54,13 @@ _BRENT_KW = dict(xtol=1e-14, rtol=4.0 * _EPS, maxiter=200)
 # Fraction of T used as the event-time tie window (simultaneous events).
 GRAZE_TIE = 1e-12
 
+# Fraction of T after a departure from rest in which no velocity zero is
+# taken: above the roundoff floor of v, far below a genuine re-crossing.
+DEPARTURE_GUARD = 1e-7
+
+# A velocity zero this close to a wall (times max(1, |wall|)) is at it.
+WALL_SNAP = 1e-12
+
 # Integrator tolerances for wall-vanishing arcs.
 _WV_RTOL = 1e-12
 _WV_ATOL = 1e-13
@@ -156,9 +163,7 @@ class SinusoidArc:
         """
         w = self.omega
         window = 0.5 * math.pi / w  # T/4
-        # 1e-7 T puts the guard safely above the roundoff floor of v while
-        # staying far below any genuine re-crossing time
-        guard = self.t0 + (1e-7 * TWO_PI / w if self.v0 == 0.0 else 0.0)
+        guard = self.t0 + (DEPARTURE_GUARD * TWO_PI / w if self.v0 == 0.0 else 0.0)
         a = self.t0
         sign_a = self.sign if self.v0 == 0.0 else (1 if self.v0 > 0 else -1)
         while a < t_hi:
@@ -306,7 +311,7 @@ def next_event(p: Params, arc: FlightArc, horizon: float):
     A wall hit is IRREGULAR within GRAZE_TIE * T of a velocity zero, or
     with no speed into the wall (sign * v <= 0: roundoff gives it to an arc
     that leaves rest next to a wall); else it is an IMPACT.  A velocity
-    zero within 1e-12 of a wall is IRREGULAR too, at that wall.
+    zero within WALL_SNAP of a wall is IRREGULAR too, at that wall.
     """
     if horizon <= arc.t0:
         raise ContractViolation("horizon must exceed the arc start time")
@@ -321,7 +326,7 @@ def next_event(p: Params, arc: FlightArc, horizon: float):
     if t_v is not None:
         x = arc.x(t_v)
         for wall in (p.r, p.l):
-            if abs(x - wall) <= 1e-12 * max(1.0, abs(wall)):
+            if abs(x - wall) <= WALL_SNAP * max(1.0, abs(wall)):
                 return IRREGULAR, t_v, wall, 0.0
         return VELOCITY_ZERO, t_v, x, 0.0
     s = arc.state(horizon)
@@ -414,7 +419,7 @@ class UniformFlightArcs(_LockstepArcs):
         repeats the edge's value, and zeros past t_hi are moved onto it."""
         p, w, n = self.params, self.omega, len(self.t0)
         window = 0.5 * math.pi / w
-        guard = self.t0 + np.where(self.v0 == 0.0, 1e-7 * TWO_PI / w, 0.0)
+        guard = self.t0 + np.where(self.v0 == 0.0, DEPARTURE_GUARD * TWO_PI / w, 0.0)
         knots = [self.t0, np.minimum(self.t0 + window, t_hi)]
         while (knots[-1] < t_hi).any():
             knots.append(np.minimum(knots[-1] + window, t_hi))
@@ -517,7 +522,8 @@ class WallVanishingArcs(_LockstepArcs):
         f = fun(t, y)
         h = lockstep.initial_step(fun, t, y, f, horizon, _WV_RTOL, _WV_ATOL)
         target = np.where(self.sign > 0, p.r, p.l)
-        guard = self.t0 + np.where(self.v0 == 0.0, 1e-7 * TWO_PI / p.omega, 0.0)
+        guard = self.t0 + np.where(self.v0 == 0.0,
+                                   DEPARTURE_GUARD * TWO_PI / p.omega, 0.0)
         self._t, self._h, self._y = np.empty(n), np.empty(n), np.empty_like(y)
         self._F = np.empty((7,) + y.shape)
         t_v, t_x = np.full(n, np.nan), np.full(n, np.nan)
@@ -591,8 +597,8 @@ def next_events(p: Params, arcs, horizon: float):
     irregular = hit & ((has_v & (np.abs(t_v - t_x) <= GRAZE_TIE * p.T))
                        | (arcs.sign * v <= 0.0))
     vz = kind == VELOCITY_ZERO
-    at_r = vz & (np.abs(x - p.r) <= 1e-12 * max(1.0, abs(p.r)))
-    at_l = vz & ~at_r & (np.abs(x - p.l) <= 1e-12 * max(1.0, abs(p.l)))
+    at_r = vz & (np.abs(x - p.r) <= WALL_SNAP * max(1.0, abs(p.r)))
+    at_l = vz & ~at_r & (np.abs(x - p.l) <= WALL_SNAP * max(1.0, abs(p.l)))
     x = np.where(at_r, p.r, np.where(at_l, p.l, x))
     irregular |= at_r | at_l
     v = np.where(vz | irregular, 0.0, v)

@@ -29,7 +29,7 @@ import numpy as np
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force)
 from .flight import SinusoidArc
-from .simulator import FlightSegment, SimulationError, simulate
+from .simulator import EVENT_CAP, FlightSegment, SimulationError, simulate
 # period_map (unused here) and _pmj, Newton's map, stay module attributes:
 # perfbench/spans.py wraps them to count each kind of map.
 from .strobemap import MapResult, multipliers, period_map  # noqa: F401
@@ -84,13 +84,16 @@ class SymmetricOrbitFormula:
     min_flight_velocity: float  # minimum of v over the wall-to-wall flight
 
 
-def classify_multipliers(trace: float, det: float,
-                         det_tol: float = 1e-6) -> OrbitType:
-    if abs(det - 1.0) <= det_tol:
+# |det - 1| (|det|) up to which a monodromy is area preserving (singular).
+MULTIPLIER_DET_TOL = 1e-6
+
+
+def classify_multipliers(trace: float, det: float) -> OrbitType:
+    if abs(det - 1.0) <= MULTIPLIER_DET_TOL:
         if abs(abs(trace) - 2.0) <= 1e-9:
             return OrbitType.DEGENERATE
         return OrbitType.CENTER if abs(trace) < 2.0 else OrbitType.SADDLE
-    if abs(det) <= det_tol and abs(trace) < 1.0:
+    if abs(det) <= MULTIPLIER_DET_TOL and abs(trace) < 1.0:
         return OrbitType.DEGENERATE
     if max(abs(lam) for lam in multipliers(trace, det)) < 1.0:
         return OrbitType.ATTRACTING
@@ -219,7 +222,7 @@ NEWTON_ITERATIONS = 40
 
 
 def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
-                  t0: float = 0.0, *, event_cap: int = 1_000_000) -> OrbitRecord:
+                  t0: float = 0.0, *, event_cap: int = EVENT_CAP) -> OrbitRecord:
     """Damped Newton solve of period_map^k(z) = z.
 
     A step is accepted only if it lowers the residual |P(z) - z|, else it

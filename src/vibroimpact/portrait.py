@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .model import ContractViolation, ForceLaw, Params
-from .simulator import _cap_error
+from .simulator import EVENT_CAP, _cap_error
 from .strobemap import BATCH_CELLS, CLASS_CODE, _map_each, period_map_batch
 # unused here; module attributes that perfbench/spans.py wraps by name
 from .strobemap import period_map, period_map_jacobian  # noqa: F401
@@ -106,10 +106,10 @@ class CloudResult:
         return buf.getvalue()
 
 
-def iterate_cloud(p: Params, grid: GridSpec, seeds: np.ndarray | None = None,
-                  *, event_cap: int = 100_000) -> CloudResult:
+def iterate_cloud(p: Params, grid: GridSpec,
+                  seeds: np.ndarray | None = None) -> CloudResult:
     """Per-seed stroboscopic sequences after the transient skip.  A seed
-    whose map hits the event cap keeps the points mapped before it."""
+    whose map hits EVENT_CAP keeps the points mapped before it."""
     grid.validate_against(p)
     if seeds is None:
         seeds = grid.cells()
@@ -126,9 +126,8 @@ def iterate_cloud(p: Params, grid: GridSpec, seeds: np.ndarray | None = None,
         return ok
 
     mapped = _iterate_batch(p, seeds[:, 0], seeds[:, 1], grid.t0,
-                            grid.transient + grid.iterations, event_cap,
-                            stays)[2]
-    message = str(_cap_error(event_cap))
+                            grid.transient + grid.iterations, stays)[2]
+    message = str(_cap_error(EVENT_CAP))
     return CloudResult(spec=grid, seeds=seeds,
                        points=[kept[i, :m].copy()
                                for i, m in enumerate(n_kept.tolist())],
@@ -198,14 +197,12 @@ def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
             det.copy(), cls.copy())
 
 
-def _region_chunk(args):
-    p, t0, cells, event_cap = args
-    b = period_map_batch(p, cells[:, 0], cells[:, 1], t0, event_cap=event_cap)
+def _region_chunk(p: Params, t0: float, cells):
+    b = period_map_batch(p, cells[:, 0], cells[:, 1], t0, event_cap=EVENT_CAP)
     return b.det, b.code, b.out_x, b.out_v
 
 
-def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int,
-               event_cap: int):
+def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int):
     """det, class code, out_x and out_v of n cells, where ``cells_at(a, b)``
     gives cells a..b-1 as an (m, 2) array.  Cells are made and mapped one
     piece at a time, so no grid-sized temporaries are held."""
@@ -215,20 +212,18 @@ def _map_cells(p: Params, n: int, cells_at, t0: float, workers: int,
         edges = np.linspace(0, n, workers * 8 + 1).astype(int).tolist()
         spans = list(zip(edges[:-1], edges[1:]))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_region_chunk,
-                                [(p, t0, cells_at(a, b), event_cap)
-                                 for a, b in spans]))
+            parts = list(ex.map(_region_chunk, repeat(p), repeat(t0),
+                                [cells_at(a, b) for a, b in spans]))
     else:
         spans = [(a, min(a + BATCH_CELLS, n)) for a in range(0, n, BATCH_CELLS)]
-        parts = (_region_chunk((p, t0, cells_at(a, b), event_cap))
-                 for a, b in spans)
+        parts = (_region_chunk(p, t0, cells_at(a, b)) for a, b in spans)
     for (a, b), part in zip(spans, parts):
         det[a:b], code[a:b], out_x[a:b], out_v[a:b] = part
     return det, code, out_x, out_v
 
 
-def classify_regions(p: Params, grid: GridSpec, *, workers: int = 1,
-                     event_cap: int = 200_000) -> RegionGrid:
+def classify_regions(p: Params, grid: GridSpec, *,
+                     workers: int = 1) -> RegionGrid:
     """Cellwise one-period determinant and contraction class."""
     grid.validate_against(p)
     xs, vs = grid.xs(), grid.vs()
@@ -238,7 +233,7 @@ def classify_regions(p: Params, grid: GridSpec, *, workers: int = 1,
         return np.column_stack([xs[k % grid.nx], vs[k // grid.nx]])
 
     det, code, out_x, out_v = _map_cells(p, grid.nx * grid.nv, cells_at,
-                                         grid.t0, workers, event_cap)
+                                         grid.t0, workers)
     shape = (grid.nv, grid.nx)
     return RegionGrid(spec=grid, det=det.reshape(shape),
                       classes=code.reshape(shape), out_x=out_x.reshape(shape),
@@ -257,8 +252,8 @@ class InvarianceReport:
         return self.violations / self.checked if self.checked else 0.0
 
 
-def invariance_check(p: Params, region: RegionGrid, *, workers: int = 1,
-                     event_cap: int = 200_000) -> InvarianceReport:
+def invariance_check(p: Params, region: RegionGrid, *,
+                     workers: int = 1) -> InvarianceReport:
     """Map every dissipative cell forward one period and re-classify the
     image point; a violation is an image that classifies area-preserving.
 
@@ -274,7 +269,7 @@ def invariance_check(p: Params, region: RegionGrid, *, workers: int = 1,
     if len(pts) == 0:
         return InvarianceReport(0, 0, int(mask.sum()), 0)
     codes = _map_cells(p, len(pts), lambda a, b: pts[a:b], region.spec.t0,
-                       workers, event_cap)[1]
+                       workers)[1]
     violations = int(np.sum(codes == 0))
     undefined = int(np.sum(codes == 3))
     return InvarianceReport(checked=len(pts), violations=violations,
@@ -333,8 +328,8 @@ NO_IMPACT_QUIET = 10
 
 
 def classify_cell(p: Params, x: float, v: float, t0: float = 0.0, *,
-                  budget: int = 2000, registry: AttractorRegistry | None = None,
-                  event_cap: int = 100_000) -> CellVerdict:
+                  budget: int = 2000,
+                  registry: AttractorRegistry | None = None) -> CellVerdict:
     """Iterate the period map and classify the seed's long-run fate.
 
     island: no turning/stick/grazing over the whole budget.
@@ -346,24 +341,22 @@ def classify_cell(p: Params, x: float, v: float, t0: float = 0.0, *,
     """
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
-    return _verdicts(p, [x], [v], t0, budget, registry, event_cap)[0]
+    return _verdicts(p, [x], [v], t0, budget, registry)[0]
 
 
 def classify_cells(p: Params, grid: GridSpec, *,
-                   registry: AttractorRegistry | None = None,
-                   event_cap: int = 100_000) -> list[CellVerdict]:
+                   registry: AttractorRegistry | None = None) -> list[CellVerdict]:
     """Verdicts for every grid cell (v-major order, x fastest)."""
     grid.validate_against(p)
     if registry is None:
         registry = AttractorRegistry()
     cells = grid.cells()
     return _verdicts(p, cells[:, 0], cells[:, 1], grid.t0, grid.iterations,
-                     registry, event_cap)
+                     registry)
 
 
 def _verdicts(p: Params, xs, vs, t0: float, budget: int,
-              registry: AttractorRegistry | None, event_cap: int
-              ) -> list[CellVerdict]:
+              registry: AttractorRegistry | None) -> list[CellVerdict]:
     """``classify_cell`` of many seeds in one batch.  A cell drops out when
     it converges or hits the event cap, so its last states, flags and det
     stay as they were then; verdicts and registry ids are given after the
@@ -400,7 +393,7 @@ def _verdicts(p: Params, xs, vs, t0: float, budget: int,
         ok[ok] = ~conv
         return ok
 
-    x, v, alive = _iterate_batch(p, xs, vs, t0, budget, event_cap, stays)
+    x, v, alive = _iterate_batch(p, xs, vs, t0, budget, stays)
     out = []
     for c, (n, k) in enumerate(ends):
         oid = None
@@ -456,13 +449,12 @@ SCALAR_CELLS = 96
 
 
 def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
-                   event_cap: int, stays) -> tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]:
+                   stays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the period map on many states at once.  After period n
     (from 1) ``stays(n, idx, b)`` gets the map b of the live cells idx and
-    picks the cells that go on; the others drop out.  A cap hit keeps the
-    state from before that map.  Returns the last states and the mask of
-    cells that stayed throughout."""
+    picks the cells that go on; the others drop out.  A hit of EVENT_CAP
+    keeps the state from before that map.  Returns the last states and the
+    mask of cells that stayed throughout."""
     x = np.array(xs, dtype=float)
     v = np.array(vs, dtype=float)
     idx = np.arange(len(x))
@@ -472,7 +464,7 @@ def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
             break
         one_by_one = uniform and idx.size < SCALAR_CELLS
         b = (_map_each if one_by_one else period_map_batch)(
-            p, x[idx], v[idx], t0, event_cap=event_cap)
+            p, x[idx], v[idx], t0, event_cap=EVENT_CAP)
         ok = ~b.capped
         x[idx[ok]], v[idx[ok]] = b.out_x[ok], b.out_v[ok]
         idx = idx[stays(n, idx, b)]
@@ -482,8 +474,7 @@ def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
 
 
 def _island_cells(p: Params, xs, vs, t0: float, n_periods: int,
-                  event_cap: int, box: tuple[float, float, float, float]
-                  ) -> np.ndarray:
+                  box: tuple[float, float, float, float]) -> np.ndarray:
     """Island membership of many states: no turning/stick/grazing over
     n_periods map iterations, and the orbit never leaves the box (bounded
     libration; chaotic-shell points diffuse out instead).  An event-cap
@@ -495,7 +486,7 @@ def _island_cells(p: Params, xs, vs, t0: float, n_periods: int,
                 & (bx0 <= b.out_x) & (b.out_x <= bx1)
                 & (bv0 <= b.out_v) & (b.out_v <= bv1))
 
-    return _iterate_batch(p, xs, vs, t0, n_periods, event_cap, stays)[2]
+    return _iterate_batch(p, xs, vs, t0, n_periods, stays)[2]
 
 
 @dataclass
@@ -521,8 +512,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
                 n_periods: int = 100, box: tuple[float, float, float, float]
                 | None = None, nx: int = 61, nv: int = 61,
                 mc_samples: int = 20000, mc_forward: int = 400,
-                forward_periods: int = 5, rng_seed: int = 2024,
-                event_cap: int = 100_000) -> IslandAreaResult:
+                forward_periods: int = 5, rng_seed: int = 2024) -> IslandAreaResult:
     """Area of the island's connected component around ``seed``.
 
     Flood fill over a cell grid (membership: no dissipative event over
@@ -546,8 +536,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
 
     # every box cell (v-major, x fastest) and then the seed, in one batch
     tested = _island_cells(p, np.append(np.tile(xs, nv), x0),
-                           np.append(np.repeat(vs, nx), v0), t0, n_periods,
-                           event_cap, box)
+                           np.append(np.repeat(vs, nx), v0), t0, n_periods, box)
     if not tested[-1]:
         raise IslandSeedError(f"seed ({x0}, {v0}) is not inside an island "
                               f"(dissipative event or box escape within "
@@ -595,8 +584,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
 
     dil = np.logical_or.reduce(near)
     sub = pts[inside][:mc_forward]
-    zx, zv, mapped = _iterate_batch(p, sub[:, 0], sub[:, 1], t0,
-                                    forward_periods, event_cap,
+    zx, zv, mapped = _iterate_batch(p, sub[:, 0], sub[:, 1], t0, forward_periods,
                                     lambda n, idx, b: ~b.capped)
     # int() truncation, as for the cell index of a single point
     i = ((zx[mapped] - bx0) / dx).astype(np.int64)

@@ -42,6 +42,12 @@ class SimulationError(RuntimeError):
     """Event cascade exceeded the configured cap."""
 
 
+# The one default event cap: a run that resolves more events fails with
+# SimulationError.  It stops chattering cascades at a wall; an ordinary
+# period takes a few events, the longest measured cascades a few thousand.
+EVENT_CAP = 1_000_000
+
+
 def _cap_error(event_cap: int) -> SimulationError:
     return SimulationError(f"event cascade exceeded cap of {event_cap} events "
                            f"(possible chatter or degenerate configuration)")
@@ -330,7 +336,7 @@ class RunResult:
 
 def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
              record: bool = False, jac: bool = False,
-             event_cap: int = 1_000_000) -> RunResult:
+             event_cap: int) -> RunResult:
     if not (p.l <= x <= p.r):
         raise ContractViolation(f"initial position {x} outside [{p.l}, {p.r}]")
     if t_end <= t:
@@ -471,9 +477,9 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
 
 # Events a cell may take inside the lockstep loop before it is handed to
 # ``_advance``.  Each pass of the loop moves every live cell by one event,
-# so a cell in a long cascade (tiny bounces against a wall, ~1e5 per
-# period) would keep the loop running for itself alone; ordinary cells take
-# a few events per period.
+# so a cell in a long cascade (tiny bounces against a wall, up to thousands
+# per period) would keep the loop running for itself alone; ordinary cells
+# take a few events per period.
 LOCKSTEP_EVENTS = 64
 
 
@@ -575,7 +581,7 @@ def _advance_batch(p: Params, xs: np.ndarray, vs: np.ndarray, t: float,
 
 
 def simulate(p: Params, initial: PhaseState, duration: float, *,
-             event_cap: int = 1_000_000) -> Trajectory:
+             event_cap: int = EVENT_CAP) -> Trajectory:
     """Full event-driven trajectory over [initial.t, initial.t + duration]."""
     res = _advance(p, initial.x, initial.v, initial.t, initial.t + duration,
                    record=True, jac=False, event_cap=event_cap)

@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ContractViolation, Params, PhaseState
-from .simulator import SimulationError, _advance, _advance_batch
+from .simulator import EVENT_CAP, SimulationError, _advance, _advance_batch
 
 
 class MapClass(str, Enum):
@@ -145,7 +145,7 @@ def _map(p: Params, state, t0: float, k: int, event_cap: int,
 
 def period_map(p: Params, state: tuple[float, float] | PhaseState,
                t0: float = 0.0, k: int = 1, *,
-               event_cap: int = 1_000_000) -> MapResult:
+               event_cap: int = EVENT_CAP) -> MapResult:
     """Advance (x, v) at phase time t0 by k forcing periods."""
     return _map(p, state, t0, k, event_cap, jac=False)
 
@@ -168,7 +168,7 @@ class MapBatch:
 
 
 def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
-                     event_cap: int = 1_000_000) -> MapBatch:
+                     event_cap: int = EVENT_CAP) -> MapBatch:
     """``period_map`` of many states (xs[i], vs[i]) at phase time t0.
 
     The cells advance in lockstep (``_advance_batch``, in chunks of
@@ -229,7 +229,7 @@ def _map_each(p: Params, xs, vs, t0: float, *, event_cap: int) -> MapBatch:
 
 
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,
-                        event_cap: int = 1_000_000) -> MapResult:
+                        event_cap: int = EVENT_CAP) -> MapResult:
     """Period map with the saltation-product Jacobian attached, and under
     the uniform law its derivative in f (``df``).
 

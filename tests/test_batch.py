@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
                          classify_regions, make_params, period_map,
                          period_map_jacobian, sticking_band)
-from vibroimpact.simulator import LOCKSTEP_EVENTS, _advance_batch
+from vibroimpact.simulator import EVENT_CAP, LOCKSTEP_EVENTS, _advance_batch
 from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 
 FAST = make_params(F=1.0, f=0.05, omega=2.0 * math.pi, l=-1.0, r=1.0)
@@ -41,7 +41,7 @@ WV_PARAMS = (
 )
 
 
-def scalar_rows(p, xs, vs, t0, event_cap=1_000_000):
+def scalar_rows(p, xs, vs, t0, event_cap=EVENT_CAP):
     """Rows (out_x, out_v, det, code, impacts, turnings, sticks, grazings)
     of the scalar map, with the batch's encoding of event-cap hits."""
     rows = []
@@ -59,7 +59,7 @@ def scalar_rows(p, xs, vs, t0, event_cap=1_000_000):
     return np.array(rows)
 
 
-def assert_matches_scalar(p, xs, vs, t0, event_cap=1_000_000):
+def assert_matches_scalar(p, xs, vs, t0, event_cap=EVENT_CAP):
     b = period_map_batch(p, xs, vs, t0, event_cap=event_cap)
     ref = scalar_rows(p, xs, vs, t0, event_cap)
     np.testing.assert_array_equal(b.code, ref[:, 3])
@@ -325,8 +325,7 @@ def test_region_grid_uses_batch_values(fast):
     g = GridSpec((-1.0, 1.0), (-2.0, 2.0), 12, 9, t0=0.2)
     rg = classify_regions(fast, g)
     cells = g.cells()
-    b = period_map_batch(fast, cells[:, 0], cells[:, 1], 0.2,
-                         event_cap=200_000)
+    b = period_map_batch(fast, cells[:, 0], cells[:, 1], 0.2)
     np.testing.assert_array_equal(rg.classes.ravel(), b.code)
     np.testing.assert_array_equal(rg.out_x.ravel(), b.out_x)
     np.testing.assert_array_equal(rg.det.ravel(), b.det)

@@ -54,6 +54,26 @@ def test_simulate_zero_periods(cfg):
     assert main(["simulate", "--config", cfg, "--periods", "0"]) == 2
 
 
+@pytest.mark.parametrize("flags,t_end", [
+    (["--periods", "2"], 4 * math.pi),
+    (["--duration", "3.5"], 3.5),
+    (["--duration", "3.5", "--periods", "2"], 3.5),
+    ([], 62.83),
+])
+def test_simulate_flag_beats_both_config_keys(tmp_path, flags, t_end):
+    """A --periods or --duration flag beats the config's [run] duration and
+    periods; without a flag the config's duration beats its periods."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\nF = 1.0\nf = 0.1\nomega = 1.0\n"
+                   "l = 0.0\nr = 1.6\n"
+                   "[run]\nduration = 62.83\nperiods = 7\n")
+    out = str(tmp_path / "t")
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", out]
+                + flags) == 0
+    final = json.loads(Path(out + "_events.json").read_text())["final"]
+    assert final[2] == pytest.approx(t_end, rel=1e-12)
+
+
 def test_portrait_modes(cfg, tmp_path):
     out = str(tmp_path / "p")
     rc = main(["portrait", "--config", cfg, "--mode", "regions",

@@ -250,7 +250,7 @@ def test_island_cells_stay_area_preserving(fast):
 
 def test_verdicts_partition(narrow_lowfric):
     g = GridSpec((0.05, 0.75), (-1.0, 1.0), 5, 5, iterations=300)
-    verdicts = classify_cells(narrow_lowfric, g, event_cap=20_000)
+    verdicts = classify_cells(narrow_lowfric, g)
     assert len(verdicts) == 25
     assert all(isinstance(v.kind, Verdict) for v in verdicts)
 
@@ -268,7 +268,7 @@ def test_attractor_consistency(narrow_lowfric):
         states.append(z)
     registry = AttractorRegistry()
     v = classify_cell(narrow_lowfric, 0.45, 0.1, budget=3000,
-                      registry=registry, event_cap=20_000)
+                      registry=registry)
     assert v.kind is Verdict.PERIODIC_ORBIT
     assert v.orbit_period == 5
     d = min(math.hypot(v.final_state[0] - s[0], v.final_state[1] - s[1])
@@ -302,7 +302,7 @@ def test_sticking_transient_verdict():
 
 def test_escaped_verdict(narrow):
     """Chaotic-sea seeds in the frictionless narrow chamber never settle."""
-    v = classify_cell(narrow, 0.05, 0.9, budget=150, event_cap=20_000)
+    v = classify_cell(narrow, 0.05, 0.9, budget=150)
     assert v.kind in (Verdict.ESCAPED, Verdict.ISLAND)
 
 
@@ -369,7 +369,7 @@ def test_island_gone_past_fold():
 def test_verdicts_csv(narrow_lowfric):
     from vibroimpact.portrait import verdicts_csv
     g = GridSpec((0.3, 0.6), (-0.3, 0.3), 2, 2, iterations=200)
-    verdicts = classify_cells(narrow_lowfric, g, event_cap=20_000)
+    verdicts = classify_cells(narrow_lowfric, g)
     text = verdicts_csv(g, verdicts)
     lines = text.strip().splitlines()
     assert lines[0].startswith("cell,x,v,verdict")

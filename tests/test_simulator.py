@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -11,6 +12,8 @@ from vibroimpact import (ContractViolation, PhaseState, ResolvedKind,
                          make_params, oracle_simulate, period_map,
                          period_map_jacobian, resolve_impact,
                          resolve_velocity_zero, simulate)
+import vibroimpact
+from vibroimpact import portrait, simulator, strobemap
 from vibroimpact.orbits import symmetric_orbit_formula, symmetric_orbit_state
 from vibroimpact.simulator import (FlightSegment, reflection_factor,
                                    stick_release_time, turning_factor)
@@ -223,6 +226,27 @@ def test_event_cap():
     p = make_params(F=1.0, f=0.0, omega=1.0, l=0.0, r=0.8)
     with pytest.raises(SimulationError):
         simulate(p, PhaseState(0.4, 2.0, 0.0), 200 * p.T, event_cap=10)
+
+
+def test_one_event_cap_default():
+    """Every public ``event_cap`` defaults to EVENT_CAP, and the grid and
+    long-run functions of ``portrait`` take none."""
+    funcs = [getattr(vibroimpact, name) for name in vibroimpact.__all__]
+    funcs.append(strobemap.period_map_batch)
+    capped = set()
+    for fn in funcs:
+        if not callable(fn) or isinstance(fn, type) \
+                and issubclass(fn, Exception):   # no signature to read
+            continue
+        param = inspect.signature(fn).parameters.get("event_cap")
+        if param is not None:
+            assert param.default == simulator.EVENT_CAP, fn.__name__
+            capped.add(fn.__name__)
+    assert capped == {"simulate", "period_map", "period_map_jacobian",
+                      "period_map_batch", "find_periodic"}
+    for name, fn in inspect.getmembers(portrait, inspect.isfunction):
+        if fn.__module__ == portrait.__name__:
+            assert "event_cap" not in inspect.signature(fn).parameters, name
 
 
 def test_initial_velocity_zero_classified():
