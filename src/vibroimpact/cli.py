@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: simulate, portrait, continue, periodic, lift-check,
-regions-invariance.  Configs are INI files with [params] / [grid] / [run]
-sections (flat key = value lines), or JSON documents with the same keys.
+Subcommands: simulate, portrait (cloud, regions or verdicts), continue,
+periodic, lift-check, regions-invariance.  Configs are INI files with
+[params] / [grid] / [run] sections (flat key = value lines), or JSON
+documents with the same keys.
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
 
@@ -13,6 +14,7 @@ import configparser
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .model import (ContractViolation, ParameterError, Params, PhaseState,
@@ -21,8 +23,8 @@ from .simulator import SimulationError, simulate
 from .orbits import (Nonexistence, OrbitError, continue_in_friction,
                      find_periodic, lift_conjugacy_check,
                      symmetric_fold_friction, symmetric_orbit)
-from .portrait import (GridSpec, GridError, classify_regions, invariance_check,
-                       iterate_cloud)
+from .portrait import (GridSpec, GridError, classify_cells, classify_regions,
+                       invariance_check, iterate_cloud, verdicts_csv)
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -135,6 +137,13 @@ def cmd_portrait(args) -> int:
         n_dis = int(rg.dissipative_mask().sum())
         print(f"wrote {args.out_prefix}_regions.csv "
               f"({n_dis}/{grid.nx * grid.nv} dissipative cells)")
+    elif args.mode == "verdicts":
+        verdicts = classify_cells(p, grid)
+        _write(args.out_prefix + "_verdicts.csv", verdicts_csv(grid, verdicts))
+        kinds = Counter(cv.kind.value for cv in verdicts)
+        print(f"wrote {args.out_prefix}_verdicts.csv ("
+              + ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
+              + ")")
     else:
         cloud = iterate_cloud(p, grid)
         _write(args.out_prefix + "_cloud.csv", cloud.csv())
@@ -161,8 +170,7 @@ def cmd_continue(args) -> int:
     if res.fold is not None:
         out += (f"# fold,f_crit={res.fold.f_crit:.10g}"
                 f",x={res.fold.state[0]:.10g},v={res.fold.state[1]:.10g}\n")
-        if k == 1:
-            out += f"# analytic_fold,f={symmetric_fold_friction(p):.10g}\n"
+        out += f"# analytic_fold,f={symmetric_fold_friction(p, k):.10g}\n"
     out += f"# termination,{res.termination}\n"
     _write(args.out, out)
     print(f"wrote {args.out} ({len(res.points)} points, {res.termination})")
@@ -254,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-prefix", default="trajectory")
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("portrait", help="grid evaluation: orbit cloud or region map")
+    sp = sub.add_parser("portrait", help="grid evaluation: orbit cloud, region "
+                                         "map or long-run verdicts")
     add_config(sp)
-    sp.add_argument("--mode", choices=("cloud", "regions"), default="cloud")
+    sp.add_argument("--mode", choices=("cloud", "regions", "verdicts"),
+                    default="cloud")
     add_grid(sp)
     sp.add_argument("--iterations", type=int)
     sp.add_argument("--transient", type=int)

@@ -29,7 +29,7 @@ import numpy as np
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
                     applied_force)
 from .flight import SinusoidArc
-from .simulator import EVENT_CAP, FlightSegment, SimulationError, simulate
+from .simulator import EVENT_CAP, SimulationError, simulate
 # period_map (unused here) and _pmj, Newton's map, stay module attributes:
 # perfbench/spans.py wraps them to count each kind of map.
 from .strobemap import MapResult, multipliers, period_map  # noqa: F401
@@ -334,7 +334,9 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
     Detects folds by a sign reversal of the f-component of the branch
     tangent (refined by shrinking steps across the reversal); terminates
     with "sticking boundary" when the orbit's event signature acquires
-    sticking or grazing, and at the range ends otherwise.  The friction
+    sticking or grazing or its minimum flight speed falls below 1e-3, and
+    at the range ends otherwise.  Each point costs only its corrector maps:
+    the speed is read off the converged map's ``segments``.  The friction
     column of the extended system is the map's closed-form ``df``, so the
     continuation is defined for the uniform law only.
     """
@@ -429,8 +431,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
         if not advanced:
             termination = "step collapse"
             last = points[-1]
-            if (_impacts_only(last.signature) and _orbit_min_speed(
-                    p.replace_friction(last.f), last.state, t0, k)
+            if (_impacts_only(last.signature) and _min_speed(res)
                     < 0.05 * max(1.0, abs(last.state[1]))):
                 termination = "sticking boundary"
             break
@@ -440,8 +441,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
         y, res, tau = y_new, res_new, tau_new
         points.append(_branch_point(y, res))
         iterations.append(n_iter)
-        if _impacts_only(res.signature) and _orbit_min_speed(
-                p.replace_friction(y[2]), y[:2], t0, k) < 1e-3:
+        if _impacts_only(res.signature) and _min_speed(res) < 1e-3:
             termination = "sticking boundary"
             break
         n_ok += 1
@@ -470,15 +470,10 @@ def _impacts_only(signature) -> bool:
     return bool(signature) and all(c in "RL" for c in signature)
 
 
-def _orbit_min_speed(p: Params, state, t0: float, k: int) -> float:
-    """Exact minimum speed along the orbit's flight arcs (0 at rest)."""
-    traj = simulate(p, PhaseState(state[0], state[1], t0), k * p.T)
-    vmin = math.inf
-    for seg in traj.segments:
-        if not isinstance(seg, FlightSegment):
-            return 0.0
-        vmin = min(vmin, seg.arc.min_speed(seg.t0, seg.t1))
-    return vmin
+def _min_speed(res: MapResult) -> float:
+    """Exact minimum flight speed of an impacts-only Jacobian map, read off
+    its segments (all flights): the orbit is not run again."""
+    return min(s.arc.min_speed(s.t0, s.t1) for s in res.segments)
 
 
 def _refine_fold(y_a, tau_a, y_b, corrector, tangent_at) -> FoldReport:

@@ -87,6 +87,7 @@ class MapResult:
     jacobian: np.ndarray | None = None
     factors: tuple[SaltationFactor, ...] | None = None
     df: np.ndarray | None = None     # d output / d f; uniform law only
+    segments: list | None = None     # FlightSegment/StickInterval; jac only
 
     @property
     def classification(self) -> MapClass:
@@ -126,7 +127,7 @@ def _map(p: Params, state, t0: float, k: int, event_cap: int,
         x, v = state.x, state.v
     else:
         x, v = float(state[0]), float(state[1])
-    res = _advance(p, x, v, t0, t0 + k * p.T, record=False, jac=jac,
+    res = _advance(p, x, v, t0, t0 + k * p.T, record=jac, jac=jac,
                    event_cap=event_cap)
     product = factors = df = None
     if jac and not res.undefined:
@@ -140,7 +141,8 @@ def _map(p: Params, state, t0: float, k: int, event_cap: int,
     return MapResult(input=(x, v), output=(res.x, res.v), t0=t0, k=k,
                      event_summary=dict(res.counts), signature=res.signature,
                      det=res.det, undefined=res.undefined,
-                     jacobian=product, factors=factors, df=df)
+                     jacobian=product, factors=factors, df=df,
+                     segments=res.segments)
 
 
 def period_map(p: Params, state: tuple[float, float] | PhaseState,
@@ -231,7 +233,8 @@ def _map_each(p: Params, xs, vs, t0: float, *, event_cap: int) -> MapBatch:
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,
                         event_cap: int = EVENT_CAP) -> MapResult:
     """Period map with the saltation-product Jacobian attached, and under
-    the uniform law its derivative in f (``df``).
+    the uniform law its derivative in f (``df``), and the mapped flights
+    and rests (``segments``), so the orbit need not be run again.
 
     Grazing or wall-pressed episodes leave the derivative undefined; the
     result carries jacobian=None and df=None and classifies as UNDEFINED.

@@ -89,6 +89,21 @@ def test_portrait_modes(cfg, tmp_path):
     assert (tmp_path / "p_cloud.csv").exists()
 
 
+def test_portrait_verdicts(cfg, tmp_path, capsys):
+    """--mode verdicts writes verdicts_csv of classify_cells on the grid."""
+    from vibroimpact import GridSpec, classify_cells, make_params, verdicts_csv
+    out = str(tmp_path / "p")
+    rc = main(["portrait", "--config", cfg, "--mode", "verdicts",
+               "--nx", "3", "--nv", "3", "--v-range=-2,2",
+               "--iterations", "20", "--out-prefix", out])
+    assert rc == 0
+    assert "p_verdicts.csv (7 escaped_budget, 2 island)" in capsys.readouterr().out
+    p = make_params(F=1.0, f=0.05, omega=6.283185307179586, l=-1.0, r=1.0)
+    grid = GridSpec((-1.0, 1.0), (-2.0, 2.0), 3, 3, iterations=20)
+    assert (Path(out + "_verdicts.csv").read_text()
+            == verdicts_csv(grid, classify_cells(p, grid)))
+
+
 def test_portrait_bad_grid(cfg):
     assert main(["portrait", "--config", cfg, "--mode", "regions",
                  "--nx", "1", "--nv", "12"]) == 2
@@ -132,6 +147,20 @@ def test_continue_finds_fold(tmp_path):
     assert fold_rows
     f_crit = float(fold_rows[0].split("f_crit=")[1].split(",")[0])
     assert f_crit == pytest.approx(2 / math.pi, abs=1e-4)
+
+
+def test_continue_writes_analytic_fold_for_every_k(tmp_path):
+    """The k = 3 branch folds at 2F/(3 pi); the analytic row says so."""
+    cfg = tmp_path / "k3.cfg"
+    cfg.write_text("[params]\nF = 1.0\nf = 0.2\nomega = 6.283185307179586\n"
+                   "l = -1.0\nr = 1.0\n[run]\nk = 3\n")
+    out = tmp_path / "k3.csv"
+    assert main(["continue", "--config", str(cfg), "--f-min", "0.19",
+                 "--f-max", "0.35", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[-3].startswith("# fold,f_crit=0.2122065908,")
+    assert rows[-2] == f"# analytic_fold,f={2 / (3 * math.pi):.10g}"
+    assert rows[-1] == "# termination,fold refined"
 
 
 def test_continue_without_orbit(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 
@@ -13,6 +14,7 @@ from vibroimpact import (ContractViolation, Nonexistence, OrbitError,
                          period_map_jacobian, simulate,
                          symmetric_orbit, symmetric_orbit_formula,
                          symmetric_orbit_state)
+from vibroimpact import orbits
 from vibroimpact.orbits import CORRECTOR_ITERATIONS
 from vibroimpact.simulator import FlightSegment
 from tests.conftest import random_valid_symmetric_params
@@ -328,17 +330,52 @@ def test_k3_fold_bracketed():
     assert res.fold is not None
     assert 0.2 < res.fold.f_crit < 0.3
     assert res.fold.f_crit == pytest.approx(2.0 / (3.0 * math.pi), abs=1e-4)
+    assert (len(res.points), res.termination, res.fold.f_crit) == (
+        30, "fold refined", 0.21220659078916299)
+    assert _csv_sha(res) == ("6638105ca61546ebd5e349fef5b9eefc"
+                             "acab080fca019500bf511a356d501da5")
 
 
-def test_branch_terminates_at_sticking_boundary():
+def _csv_sha(res) -> str:
+    return hashlib.sha256(res.csv().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sticking_branch():
+    """The descending branch 2 of a chamber too small for the fast branch
+    at low friction: it ends where the orbit begins to stick."""
+    p = make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6)
+    res = continue_in_friction(p, symmetric_orbit(p, 2), f_min=0.0,
+                               f_max=0.6, direction=-1, ds=1e-3)
+    return p, res
+
+
+def _speed_test_branch():
+    """A descending branch 1 whose last accepted orbit is impacts-only with
+    minimum flight speed 3.6e-5: the 1e-3 speed test ends it."""
+    p = make_params(F=1.0, f=0.4, omega=1.0, l=0.0, r=1.1)
+    return p, continue_in_friction(p, symmetric_orbit(p, 1), f_min=0.0,
+                                   direction=-1)
+
+
+def _simulated_min_speed(p, pt):
+    """The minimum flight speed of a branch point's orbit, run again by
+    ``simulate`` (0 if it rests)."""
+    traj = simulate(p.replace_friction(pt.f), PhaseState(*pt.state, 0.0), p.T)
+    if not all(isinstance(seg, FlightSegment) for seg in traj.segments):
+        return 0.0
+    return min(seg.arc.min_speed(seg.t0, seg.t1) for seg in traj.segments)
+
+
+def test_branch_terminates_at_sticking_boundary(sticking_branch):
     """For a chamber too small for the fast branch at low friction, the
     descending branch dies where the orbit begins to stick
     (departure speed -> 0 at f0 = sqrt(4 F^2 - R^2 w^4) / pi...)."""
-    p = make_params(F=1.0, f=0.55, omega=1.0, l=0.0, r=1.6)
-    orb = symmetric_orbit(p, 2)
-    res = continue_in_friction(p, orb, f_min=0.0, f_max=0.6,
-                               direction=-1, ds=1e-3)
+    p, res = sticking_branch
     assert res.termination == "sticking boundary"
+    assert len(res.points) == 153 and res.fold is None
+    assert _csv_sha(res) == ("c6dcdee44f5536077d96158279267615"
+                             "d27f725b5fcbe4ba9008a21046dcb81e")
     f_end = res.points[-1].f
     f_boundary = math.sqrt(4.0 - p.R ** 2) / math.pi
     # the branch stalls approaching the boundary from above
@@ -356,6 +393,38 @@ def test_wide_branch_corrector_converges_fast():
     assert res.cap_hits == 0
     assert max(res.iterations) < CORRECTOR_ITERATIONS
     assert statistics.median(res.iterations) <= 3
+    assert (len(res.points), res.termination, res.fold.f_crit) == (
+        1016, "fold refined", 0.636619772365869)
+    assert _csv_sha(res) == ("3d22229a1e6539eacc6566d0dbba6efd"
+                             "8d7add2fd558bd379f213520437acce7")
+
+
+@pytest.mark.parametrize("branch", ["sticking", "speed test"])
+def test_map_min_speed_equals_simulated(branch, sticking_branch):
+    """The speed that the sticking test reads off each converged map's
+    segments is, bit for bit, the minimum over a fresh ``simulate`` run of
+    the same orbit."""
+    p, res = sticking_branch if branch == "sticking" else _speed_test_branch()
+    for pt in res.points:
+        mp = period_map_jacobian(p.replace_friction(pt.f), pt.state)
+        assert mp.signature == pt.signature and set(pt.signature) == {"R", "L"}
+        assert orbits._min_speed(mp) == _simulated_min_speed(p, pt)
+
+
+def test_speed_test_reads_the_map_not_simulate(monkeypatch):
+    """Continuation runs no orbit again: with ``simulate`` gone it gives
+    the same branch, and its 1e-3 speed test still ends it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("continuation ran simulate")
+    monkeypatch.setattr(orbits, "simulate", refuse)
+    p, res = _speed_test_branch()
+    last = res.points[-1]
+    assert res.termination == "sticking boundary"
+    assert len(res.points) == 37 and set(last.signature) == {"R", "L"}
+    mp = period_map_jacobian(p.replace_friction(last.f), last.state)
+    assert orbits._min_speed(mp) < 1e-3
+    assert _csv_sha(res) == ("aed11aaee0b3485f1a06cf5c00aac954"
+                             "80a85170c71f6c14bea8927071c4d112")
 
 
 def test_continuation_refuses_wall_vanishing_law(fast, wall_vanishing):

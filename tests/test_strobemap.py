@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vibroimpact import (ContractViolation, MapClass,
+from vibroimpact import (ContractViolation, MapClass, PhaseState,
                          finite_difference_jacobian, make_params, period_map,
-                         period_map_jacobian)
+                         period_map_jacobian, simulate)
 from vibroimpact.simulator import reflection_factor, turning_factor
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
@@ -24,6 +24,20 @@ def test_turning_factor_entries():
     m = turning_factor(0.5, 0.1)
     assert np.allclose(m, np.diag([1.0, (0.5 - 0.1) / (0.5 + 0.1)]))
     assert m[1, 1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("law", ["uniform", "wall_vanishing"])
+@pytest.mark.parametrize("state", [(0.0, 2.0), (0.3, 0.0), (-0.7, -0.4)])
+def test_jacobian_map_keeps_the_simulated_segments(law, state):
+    """``period_map_jacobian`` keeps the segments ``simulate`` would give
+    for the same period (same kinds and times); ``period_map`` keeps none."""
+    p = make_params(F=1.0, f=0.5, omega=2.0 * math.pi, l=-1.0, r=1.0,
+                    force_law=law)   # impacts, turnings and rests
+    res = period_map_jacobian(p, state, 0.0, 2)
+    traj = simulate(p, PhaseState(*state, 0.0), 2 * p.T)
+    assert ([(type(s), s.t0, s.t1) for s in res.segments]
+            == [(type(s), s.t0, s.t1) for s in traj.segments])
+    assert period_map(p, state).segments is None
 
 
 def test_flight_only_jacobian_is_shear():
