@@ -42,16 +42,25 @@ def load_config(path: str) -> dict:
     text = fp.read_text()
     if fp.suffix == ".json" or text.lstrip().startswith("{"):
         doc = json.loads(text)
-        return {"params": doc.get("params", doc),
-                "grid": doc.get("grid", {}), "run": doc.get("run", {})}
+        if not isinstance(doc, dict):
+            raise ConfigError("a JSON config must be an object")
+        out = {"params": doc.get("params", doc),
+               "grid": doc.get("grid", {}), "run": doc.get("run", {})}
+        for sec, keys in out.items():
+            if not isinstance(keys, dict):
+                raise ConfigError(f"config section {sec!r} must be an object")
+        return out
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str          # keys are case-sensitive (F vs f)
-    cp.read_string(text)
     out = {"params": {}, "grid": {}, "run": {}}
-    for sec in cp.sections():
-        if sec not in out:
-            raise ConfigError(f"unknown config section [{sec}]")
-        out[sec] = dict(cp.items(sec))
+    try:
+        cp.read_string(text)
+        for sec in cp.sections():
+            if sec not in out:
+                raise ConfigError(f"unknown config section [{sec}]")
+            out[sec] = dict(cp.items(sec))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
     if not out["params"]:
         raise ConfigError("config has no [params] section")
     return out
@@ -64,7 +73,11 @@ def _pick(args, section: dict, default, **casts):
     for source in (vars(args), section):
         for name, cast in casts.items():
             if source.get(name) is not None:
-                return cast(source[name])
+                try:
+                    return cast(source[name])
+                except TypeError:   # a JSON list or number where none fits
+                    raise ConfigError(f"malformed config value {name} = "
+                                      f"{source[name]!r}") from None
     return default
 
 
@@ -111,13 +124,10 @@ def cmd_simulate(args) -> int:
     _write(args.out_prefix + "_events.json", traj.to_json())
     _write(args.out_prefix + "_samples.csv", traj.samples_csv(dt))
     # stroboscopic states, one row per period
-    rows = ["period,x,v"]
-    for n in range(int(round(duration / p.T)) + 1):
-        t = t0 + n * p.T
-        if t > traj.final.t + 1e-9:
-            break
-        s = traj.state_at(min(t, traj.final.t))
-        rows.append(f"{n},{s.x:.17g},{s.v:.17g}")
+    ts = [t0 + n * p.T for n in range(int(round(duration / p.T)) + 1)]
+    ts = [min(t, traj.final.t) for t in ts if t <= traj.final.t + 1e-9]
+    rows = ["period,x,v"] + [f"{n},{x:.17g},{v:.17g}"
+                             for n, (_, x, v) in enumerate(traj.sample(ts))]
     _write(args.out_prefix + "_strobe.csv", "\n".join(rows) + "\n")
     print(f"wrote {args.out_prefix}_events.json, _samples.csv, _strobe.csv "
           f"({len(traj.events)} events)")

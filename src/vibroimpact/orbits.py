@@ -606,7 +606,6 @@ def lift_conjugacy_check(p: Params, initial: PhaseState, duration: float,
         filled += 1
 
     defect = 0.0
-    for tt, qq in zip(ts, qs):
-        s = traj.state_at(float(tt))
-        defect = max(defect, abs(s.x - (p.R * tent_value(qq) + p.l)))
+    for x, qq in zip(traj.sample(ts)[:, 1], qs):
+        defect = max(defect, abs(x - (p.R * tent_value(qq) + p.l)))
     return ConjugacyReport(True, "", defect, n_samples)

@@ -24,9 +24,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import ContractViolation, ForceLaw, Params
+from .model import ContractViolation, Params
 from .simulator import EVENT_CAP, _cap_error
-from .strobemap import BATCH_CELLS, CLASS_CODE, _map_each, period_map_batch
+from .strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 # unused here; module attributes that perfbench/spans.py wraps by name
 from .strobemap import period_map, period_map_jacobian  # noqa: F401
 
@@ -184,9 +184,15 @@ class RegionGrid:
 
 
 def tile_from_bytes(blob: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
+    if len(blob) < 48:
+        raise GridError(f"a portrait tile has a 48-byte header; got "
+                        f"{len(blob)} bytes")
     magic, version, nx, nv = struct.unpack_from("<4sIII", blob, 0)
     if magic != b"VIPT" or version != 1:
         raise GridError("not a version-1 portrait tile")
+    if len(blob) != 48 + 9 * nx * nv:
+        raise GridError(f"a {nx}x{nv} portrait tile has {48 + 9 * nx * nv} "
+                        f"bytes; got {len(blob)}")
     x0, x1, v0, v1 = struct.unpack_from("<4d", blob, 16)
     off = 16 + 32
     det = np.frombuffer(blob, dtype="<f8", count=nx * nv,
@@ -443,11 +449,6 @@ def _neighbourhood(mask: np.ndarray) -> list[np.ndarray]:
             for dj in (-1, 0, 1) for di in (-1, 0, 1)]
 
 
-# Under the uniform law, live sets smaller than this are mapped one cell at a
-# time: there a lockstep pass costs more than it saves (measured crossover).
-SCALAR_CELLS = 96
-
-
 def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
                    stays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the period map on many states at once.  After period n
@@ -458,13 +459,10 @@ def _iterate_batch(p: Params, xs, vs, t0: float, n_periods: int,
     x = np.array(xs, dtype=float)
     v = np.array(vs, dtype=float)
     idx = np.arange(len(x))
-    uniform = p.force_law is ForceLaw.UNIFORM
     for n in range(1, n_periods + 1):
         if not idx.size:
             break
-        one_by_one = uniform and idx.size < SCALAR_CELLS
-        b = (_map_each if one_by_one else period_map_batch)(
-            p, x[idx], v[idx], t0, event_cap=EVENT_CAP)
+        b = period_map_batch(p, x[idx], v[idx], t0, event_cap=EVENT_CAP)
         ok = ~b.capped
         x[idx[ok]], v[idx[ok]] = b.out_x[ok], b.out_v[ok]
         idx = idx[stays(n, idx, b)]
@@ -526,17 +524,15 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
         hw_v = max(1.5, 0.3 * abs(v0))
         box = (p.l, p.r, v0 - hw_v, v0 + hw_v)
     bx0, bx1, bv0, bv1 = box
-    dx = (bx1 - bx0) / nx
-    dv = (bv1 - bv0) / nv
-    xs = bx0 + dx * (np.arange(nx) + 0.5)
-    vs = bv0 + dv * (np.arange(nv) + 0.5)
+    grid = GridSpec(box[:2], box[2:], nx, nv, t0)
+    grid.validate_against(p)
 
-    ic = min(max(int((x0 - bx0) / dx), 0), nx - 1)
-    jc = min(max(int((v0 - bv0) / dv), 0), nv - 1)
+    ic = min(max(int((x0 - bx0) / grid.dx), 0), nx - 1)
+    jc = min(max(int((v0 - bv0) / grid.dv), 0), nv - 1)
 
     # every box cell (v-major, x fastest) and then the seed, in one batch
-    tested = _island_cells(p, np.append(np.tile(xs, nv), x0),
-                           np.append(np.repeat(vs, nx), v0), t0, n_periods, box)
+    cells = np.append(grid.cells(), [[x0, v0]], axis=0)
+    tested = _island_cells(p, cells[:, 0], cells[:, 1], t0, n_periods, box)
     if not tested[-1]:
         raise IslandSeedError(f"seed ({x0}, {v0}) is not inside an island "
                               f"(dissipative event or box escape within "
@@ -565,7 +561,7 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
                 mask[jj, ii] = True
                 stack.append((jj, ii))
 
-    cell_area = dx * dv
+    cell_area = grid.dx * grid.dv
     n_cells = int(mask.sum())
     near = _neighbourhood(mask)
     interior = np.logical_and.reduce(near)
@@ -574,8 +570,8 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     rng = np.random.default_rng(rng_seed)
     pts = np.column_stack([rng.uniform(bx0, bx1, mc_samples),
                            rng.uniform(bv0, bv1, mc_samples)])
-    pi = np.clip(((pts[:, 0] - bx0) / dx).astype(int), 0, nx - 1)
-    pj = np.clip(((pts[:, 1] - bv0) / dv).astype(int), 0, nv - 1)
+    pi = np.clip(((pts[:, 0] - bx0) / grid.dx).astype(int), 0, nx - 1)
+    pj = np.clip(((pts[:, 1] - bv0) / grid.dv).astype(int), 0, nv - 1)
     inside = mask[pj, pi]
     frac = inside.mean()
     box_area = (bx1 - bx0) * (bv1 - bv0)
@@ -587,8 +583,8 @@ def island_area(p: Params, seed: tuple[float, float], *, t0: float = 0.0,
     zx, zv, mapped = _iterate_batch(p, sub[:, 0], sub[:, 1], t0, forward_periods,
                                     lambda n, idx, b: ~b.capped)
     # int() truncation, as for the cell index of a single point
-    i = ((zx[mapped] - bx0) / dx).astype(np.int64)
-    j = ((zv[mapped] - bv0) / dv).astype(np.int64)
+    i = ((zx[mapped] - bx0) / grid.dx).astype(np.int64)
+    j = ((zv[mapped] - bv0) / grid.dv).astype(np.int64)
     on_grid = (0 <= i) & (i < nx) & (0 <= j) & (j < nv)
     kept = int(dil[j[on_grid], i[on_grid]].sum())
     retention = kept / len(sub) if len(sub) else 1.0

@@ -27,8 +27,10 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -103,18 +105,22 @@ class Trajectory:
     events: list[ResolvedEvent]
     final: PhaseState
 
+    @cached_property
+    def _ends(self) -> list[float]:
+        return [seg.t1 for seg in self.segments]
+
     def state_at(self, t: float) -> PhaseState:
+        """State at time t, from the first segment that ends at or after t
+        (the last segment for later t)."""
         if not (self.initial.t - 1e-12 <= t <= self.final.t + 1e-12):
             raise ValueError(f"time {t} outside trajectory span")
         t = min(max(t, self.initial.t), self.final.t)
-        for seg in self.segments:
-            if t <= seg.t1 or seg is self.segments[-1]:
-                if isinstance(seg, StickInterval):
-                    return PhaseState(seg.x, 0.0, t)
-                tt = min(max(t, seg.t0), seg.t1)
-                s = seg.arc.state(tt)
-                return PhaseState(s.x, s.v, t)
-        return self.final  # pragma: no cover
+        seg = self.segments[min(bisect_left(self._ends, t),
+                                len(self.segments) - 1)]
+        if isinstance(seg, StickInterval):
+            return PhaseState(seg.x, 0.0, t)
+        s = seg.arc.state(min(max(t, seg.t0), seg.t1))
+        return PhaseState(s.x, s.v, t)
 
     def sample(self, ts) -> np.ndarray:
         """Dense samples as an (n, 3) array of rows (t, x, v)."""

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ContractViolation, Params, PhaseState
+from .model import ContractViolation, ForceLaw, Params, PhaseState
 from .simulator import EVENT_CAP, SimulationError, _advance, _advance_batch
 
 
@@ -58,6 +58,10 @@ CLASS_CODE = {MapClass.AREA_PRESERVING: 0, MapClass.CONTRACTING: 1,
 # Cells per lockstep batch: bounds the kernel's working arrays (peak memory)
 # independently of the grid size.
 BATCH_CELLS = 4096
+
+# Under the uniform law, sets smaller than this are mapped one state at a
+# time: there a lockstep pass costs more than it saves (measured crossover).
+SCALAR_CELLS = 96
 
 
 @dataclass(frozen=True)
@@ -173,61 +177,52 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
                      event_cap: int = EVENT_CAP) -> MapBatch:
     """``period_map`` of many states (xs[i], vs[i]) at phase time t0.
 
-    The cells advance in lockstep (``_advance_batch``, in chunks of
-    BATCH_CELLS) with the scalar engine's rules and floating-point order,
-    so each cell's image, det, class and counts equal those of
-    ``period_map``, under either force law.  Cells the lockstep kernel
-    hands back (wall starts, grazing, sticking without friction, the event
-    cap) are mapped by ``period_map`` one at a time.  No Jacobian is
-    formed.
+    Under the uniform law, fewer than SCALAR_CELLS states are mapped one at
+    a time.  Other sets advance in lockstep (``_advance_batch``, in chunks
+    of BATCH_CELLS) with the scalar engine's rules and floating-point
+    order, and the states the kernel hands back are mapped one at a time.
+    So each state's image, det, class and counts equal ``period_map``'s;
+    past the event cap it gets nan image and det, zero counts, class 3 and
+    ``capped``.  No Jacobian is formed.
     """
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
     n = len(xs)
     out_x, out_v, det = np.empty(n), np.empty(n), np.empty(n)
-    code = np.empty(n, dtype=np.uint8)
     counts = np.zeros((n, 4), dtype=np.int64)
+    undefined = np.zeros(n, dtype=bool)
     capped = np.zeros(n, dtype=bool)
     t_end = t0 + p.T
-    for lo in range(0, n, BATCH_CELLS):
-        sl = slice(lo, lo + BATCH_CELLS)
-        run = _advance_batch(p, xs[sl], vs[sl], t0, t_end, event_cap)
-        out_x[sl], out_v[sl], det[sl] = run.x, run.v, run.det
-        code[sl] = np.where(np.abs(run.det - 1.0) <= DET_TOL,
-                            CLASS_CODE[MapClass.AREA_PRESERVING],
-                            np.where(np.abs(run.det) <= DET_TOL,
-                                     CLASS_CODE[MapClass.SINGULAR],
-                                     CLASS_CODE[MapClass.CONTRACTING]))
-        counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
-            run.impacts, run.turnings, run.sticks)
-        i = lo + np.flatnonzero(run.fallback)
-        b = _map_each(p, xs[i], vs[i], t0, event_cap=event_cap)
-        out_x[i], out_v[i], det[i] = b.out_x, b.out_v, b.det
-        code[i], counts[i], capped[i] = b.code, b.counts, b.capped
-    return MapBatch(out_x, out_v, det, code, counts, capped)
-
-
-def _map_each(p: Params, xs, vs, t0: float, *, event_cap: int) -> MapBatch:
-    """``period_map`` of the states (xs[i], vs[i]) one at a time, as a
-    MapBatch: the rows the lockstep kernel hands back, and small sets for
-    which a lockstep pass costs more than it saves."""
-    n = len(xs)
-    out = np.full((3, n), math.nan)            # x, v, det
-    code = np.full(n, CLASS_CODE[MapClass.UNDEFINED], dtype=np.uint8)
-    counts = np.zeros((n, 4), dtype=np.int64)
-    capped = np.zeros(n, dtype=bool)
-    for i in range(n):
+    if p.force_law is ForceLaw.UNIFORM and n < SCALAR_CELLS:
+        rows = range(n)                        # states mapped one at a time
+    else:
+        rows = []
+        for lo in range(0, n, BATCH_CELLS):
+            sl = slice(lo, lo + BATCH_CELLS)
+            run = _advance_batch(p, xs[sl], vs[sl], t0, t_end, event_cap)
+            out_x[sl], out_v[sl], det[sl] = run.x, run.v, run.det
+            counts[sl, 0], counts[sl, 1], counts[sl, 2] = (
+                run.impacts, run.turnings, run.sticks)
+            rows += (lo + np.flatnonzero(run.fallback)).tolist()
+    for i in rows:
         try:
-            res = period_map(p, (xs[i], vs[i]), t0, event_cap=event_cap)
+            res = _advance(p, float(xs[i]), float(vs[i]), t0, t_end,
+                           event_cap=event_cap)
         except SimulationError:
-            capped[i] = True
+            out_x[i] = out_v[i] = det[i] = math.nan
+            counts[i] = 0
+            undefined[i] = capped[i] = True
             continue
-        c = res.event_summary
-        out[:, i] = (*res.output, res.det)
-        code[i] = CLASS_CODE[res.classification]
+        c = res.counts
+        out_x[i], out_v[i], det[i], undefined[i] = (res.x, res.v, res.det,
+                                                    res.undefined)
         counts[i] = (c["impacts_left"] + c["impacts_right"], c["turnings"],
                      c["sticks"], c["grazings"])
-    return MapBatch(*out, code, counts, capped)
+    code = np.full(n, CLASS_CODE[MapClass.CONTRACTING], dtype=np.uint8)
+    code[np.abs(det) <= DET_TOL] = CLASS_CODE[MapClass.SINGULAR]
+    code[np.abs(det - 1.0) <= DET_TOL] = CLASS_CODE[MapClass.AREA_PRESERVING]
+    code[undefined] = CLASS_CODE[MapClass.UNDEFINED]
+    return MapBatch(out_x, out_v, det, code, counts, capped)
 
 
 def period_map_jacobian(p: Params, state, t0: float = 0.0, k: int = 1, *,

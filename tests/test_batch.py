@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
                          classify_regions, make_params, period_map,
-                         period_map_jacobian, sticking_band)
+                         period_map_jacobian, sticking_band, strobemap)
 from vibroimpact.simulator import EVENT_CAP, LOCKSTEP_EVENTS, _advance_batch
 from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 
@@ -39,6 +39,14 @@ WV_PARAMS = (
     make_params(F=1.0, f=0.0, omega=2.0 * math.pi, l=-1.0, r=1.0,
                 force_law="wall_vanishing"),
 )
+
+
+@pytest.fixture(autouse=True)
+def lockstep_always(monkeypatch):
+    """The sets here are small: without this, period_map_batch would map
+    the uniform ones one state at a time, the scalar map compared with
+    itself."""
+    monkeypatch.setattr(strobemap, "SCALAR_CELLS", 0)
 
 
 def scalar_rows(p, xs, vs, t0, event_cap=EVENT_CAP):
@@ -132,6 +140,27 @@ def test_forced_fallbacks():
     b = assert_matches_scalar(FAST, xs, vs, 0.0, event_cap=2)
     assert b.capped.any() and not b.capped.all()
     assert np.all(b.code[b.capped] == CLASS_CODE[MapClass.UNDEFINED])
+
+
+def test_small_sets_map_alike_with_and_without_the_crossover(monkeypatch):
+    """A uniform set below SCALAR_CELLS is mapped one state at a time; the
+    lockstep kernel with its hand-backs gives the same MapBatch, capped
+    rows included (the kernel has written state and counts into them)."""
+    still = make_params(F=0.0, f=0.0, omega=1.0, l=-1.0, r=1.0)
+    xs = np.array([0.2, 0.4, 0.0, -1.0, 1.0, -0.5])
+    vs = np.array([0.0, 0.5, 9.0, 0.7, 0.0, -0.3])
+    lockstep = period_map_batch(still, xs, vs, 0.3, event_cap=3)
+    monkeypatch.setattr(strobemap, "SCALAR_CELLS", 96)
+    one_by_one = period_map_batch(still, xs, vs, 0.3, event_cap=3)
+    for name in ("out_x", "out_v", "det", "code", "counts", "capped"):
+        np.testing.assert_array_equal(getattr(lockstep, name),
+                                      getattr(one_by_one, name), err_msg=name)
+    undefined = CLASS_CODE[MapClass.UNDEFINED]
+    assert lockstep.counts[0, 2] == 1 and lockstep.code[0] == undefined
+    assert lockstep.capped[2] and not lockstep.counts[2].any()
+    assert lockstep.counts[3, 0] > 0                  # start on the wall
+    assert lockstep.counts[4, 3] == 1 and lockstep.code[4] == undefined
+    assert not lockstep.capped[[0, 1, 3, 4, 5]].any()
 
 
 def test_lockstep_kernel_hands_back_only_grazing_cells():

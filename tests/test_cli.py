@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -42,6 +43,40 @@ def test_simulate_happy_path(cfg, tmp_path):
     assert len(strobe) == 7          # header + periods 0..5
     samples = Path(out + "_samples.csv").read_text().splitlines()
     assert samples[0] == "t,x,v"
+
+
+# sha256 of the three files, computed with the linear segment scan that
+# Trajectory.state_at used before it bisected the segment ends
+@pytest.mark.parametrize("config,flags,digests", [
+    # turnings, sticks and releases, grazing and wall-pressed rest
+    ("[params]\nF = 1.0\nf = 0.55\nomega = 1.0\nl = 0.0\nr = 1.6\n",
+     ["--x0", "1.5", "--v0", "2.0", "--periods", "6"],
+     ("558c1f1adbe7bcf5cd586c530682c1014d3c838d4872d324661a21c2ae21365b",
+      "9ae7a0add1275e067cd5314db335883b1e63789ebf157c74a4a9080be012735b",
+      "cd55116842c6cb25f9699d6c2d9f3f8b3191949c496625bbf5b29b3cf88a8ce9")),
+    # wall-vanishing law: impacts
+    (None, ["--x0", "0.3", "--v0", "2.0", "--periods", "4"],
+     ("dc4739fd3fcb1bef6684e143370af033d24b98a0f8d02ab61c21642a6ad3502e",
+      "aaf42ef615658ccffbc0835704d1fdc37c2a8fc4cd0203c5f4bf7200a5c12030",
+      "272a702caa122dcb8b26cf7fa581c90e60f0c31e5080928bdff92c3c9cb5ba95")),
+    # wall-vanishing law: a turning, then sticks and releases in a rest band
+    (None, ["--x0", "0.9", "--v0", "0.0", "--periods", "4"],
+     ("fab0c96ccd01849a468528440bca3eea26e67f0f1e1a662e86b2337fec7cc1d7",
+      "c7a678d1384a047854511da9642dc7732ff7c00cd06e0b7dfea998753fbb8c26",
+      "73493f0454b3e7d8271e5daf3e2a7c2d545c9b756eeb96b59c09f9ed62ad4534")),
+], ids=["uniform rests", "wall-vanishing impacts", "wall-vanishing rests"])
+def test_simulate_outputs_pinned(tmp_path, config, flags, digests):
+    cfg = RECIPES / "wall_vanishing.cfg"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", out]
+                + flags) == 0
+    for suffix, digest in zip(("_events.json", "_samples.csv", "_strobe.csv"),
+                              digests):
+        data = Path(out + suffix).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 def test_simulate_missing_config(tmp_path):
@@ -230,6 +265,40 @@ def test_json_config(tmp_path):
     rc = main(["simulate", "--config", str(cfg), "--x0", "0.4", "--v0", "0",
                "--periods", "2", "--out-prefix", str(tmp_path / "t")])
     assert rc == 0
+
+
+PARAMS_JSON = '"params": {"F": 1, "f": 0, "omega": 1, "l": 0, "r": 0.8}'
+PARAMS_INI = "[params]\nf = 0\nomega = 1\nl = 0\nr = 0.8\n"
+
+
+MALFORMED_CONFIGS = {
+    "top.json": "[1, 2]",
+    "params.json": '{"params": 3}',
+    "run.json": "{" + PARAMS_JSON + ', "run": [1]}',
+    "duplicate.cfg": PARAMS_INI + "F = 1.0\nF = 2.0\n",
+    "headless.cfg": "F = 1.0\nf = 0\n",
+    "percent.cfg": PARAMS_INI + "F = 1%\n",
+    "x0.json": "{" + PARAMS_JSON + ', "run": {"x0": [1]}}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_is_usage_error(tmp_path, capsys, name):
+    """Exit code 2 with one error line, not a traceback."""
+    cfg = tmp_path / name
+    cfg.write_text(MALFORMED_CONFIGS[name])
+    assert main(["simulate", "--config", str(cfg), "--periods", "1",
+                 "--out-prefix", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_grid_range_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "range.json"
+    cfg.write_text("{" + PARAMS_JSON + ', "grid": {"x_range": 5}}')
+    assert main(["portrait", "--config", str(cfg), "--mode", "regions",
+                 "--nx", "4", "--nv", "4", "--workers", "1",
+                 "--out-prefix", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed config value")
 
 
 def test_recipes_parse():

@@ -16,7 +16,7 @@ import pytest
 from vibroimpact import (AttractorRegistry, GridSpec, classify_cell,
                          classify_cells, iterate_cloud, make_params,
                          portrait, verdicts_csv)
-from vibroimpact.portrait import SCALAR_CELLS
+from vibroimpact.strobemap import SCALAR_CELLS
 
 NARROW = make_params(F=1.0, f=0.005, omega=1.0, l=0.0, r=0.8)
 FAST = make_params(F=1.0, f=0.05, omega=2 * math.pi, l=-1.0, r=1.0)

@@ -149,6 +149,15 @@ def test_region_grid_csv_and_tile(fast):
     assert np.array_equal(cls, rg.classes)
 
 
+@pytest.mark.parametrize("cut", [lambda b: b[:-3], lambda b: b[:20],
+                                 lambda b: b + b"\0\0"],
+                         ids=["short by 3", "20 bytes", "2 extra"])
+def test_malformed_tile_is_refused(fast, cut):
+    rg = classify_regions(fast, GridSpec((-1, 1), (-2, 2), 4, 3))
+    with pytest.raises(GridError):
+        tile_from_bytes(cut(rg.to_tile_bytes()))
+
+
 def _csv_writer_reference(rg):
     """The region CSV as the csv module writes it, field by field."""
     xs, vs = rg.spec.xs(), rg.spec.vs()
@@ -355,6 +364,19 @@ def test_island_area_maps_the_seed_with_the_grid(monkeypatch):
 def test_island_area_rejects_non_island_seed(fast):
     with pytest.raises(IslandSeedError):
         island_area(fast, (0.0, 0.2), n_periods=50, nx=21, nv=21)
+
+
+def test_island_area_refuses_a_box_beyond_the_walls(fast, monkeypatch):
+    """The box is checked against the walls, as every grid is, before any
+    cell is mapped."""
+    from vibroimpact import portrait
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("a cell was mapped")
+
+    monkeypatch.setattr(portrait, "period_map_batch", no_map)
+    with pytest.raises(GridError, match="beyond the walls"):
+        island_area(fast, (0.0, 1.0), box=(-1.5, 1.5, -1.0, 3.0))
 
 
 def test_island_gone_past_fold():

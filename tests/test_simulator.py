@@ -164,6 +164,37 @@ def test_trajectory_stays_between_walls(fast, rng):
         assert xs.max() <= fast.r + 1e-10
 
 
+def _scanned_state(tr, t):
+    """(t, x, v) from the first segment, in order, that ends at or after t
+    (the last one for later t)."""
+    t = min(max(t, tr.initial.t), tr.final.t)
+    for seg in tr.segments:
+        if t <= seg.t1 or seg is tr.segments[-1]:
+            if isinstance(seg, StickInterval):
+                return (t, seg.x, 0.0)
+            s = seg.arc.state(min(max(t, seg.t0), seg.t1))
+            return (t, s.x, s.v)
+
+
+@pytest.mark.parametrize("p,start,periods", [
+    (PARAMS[2], (1.5, 2.0), 6),
+    (PARAMS[1], (3.0, 0.0), 3),
+    (WV_PARAMS[0], (0.3, 2.0), 3),
+    (WV_PARAMS[0], (0.9, 0.0), 3),
+], ids=["sticks and grazing", "turnings and sticks", "wall-vanishing impacts",
+        "wall-vanishing rest band"])
+def test_sample_equals_a_linear_scan(p, start, periods):
+    """``sample`` bisects the segment ends and gives the scan's states bit
+    for bit, at every segment's start and end and in between."""
+    tr = simulate(p, PhaseState(*start, 0.1), periods * p.T)
+    ends = [seg.t1 for seg in tr.segments]
+    assert ends == sorted(ends)
+    ts = np.concatenate([[seg.t0 for seg in tr.segments], ends,
+                         np.linspace(tr.initial.t, tr.final.t, 501)])
+    want = np.array([_scanned_state(tr, t) for t in ts.tolist()])
+    np.testing.assert_array_equal(tr.sample(ts), want)
+
+
 def test_energy_balance_on_flight_arcs(fast, rng):
     """Over an event-free arc, the kinetic-energy change equals the work of
     the applied force minus friction times the arc length (Simpson
