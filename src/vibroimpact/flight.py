@@ -19,7 +19,9 @@ Wall-vanishing arcs have no elementary closed form.  ``WallVanishingArcs``
 steps many of them at once by the DOP853 of ``lockstep`` (one step size per
 arc), each to the first accepted step that holds an event: a velocity sign
 change, sampled on the step's dense polynomial, or the wall ahead; roots
-are polished on that polynomial.  ``WallVanishingArc`` is its n = 1 call.
+are polished on that polynomial.  ``WallVanishingArc`` does the same for
+one arc on Python floats, with ``lockstep``'s one-problem DOP853, and gets
+the numbers the arc gets in any bundle, bit for bit.
 
 ``UniformFlightArcs`` runs the uniform-law search on many arcs at once, in
 lockstep on numpy arrays: the knots of every window of every arc (window
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from operator import itemgetter
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (perfbench/spans.py wraps it)
@@ -79,6 +82,18 @@ def _polish_velocity_zero(v, lo: float, hi: float) -> float:
     if (v(lo) > 0) == (v(hi) > 0):
         return lo
     return brentq(v, lo, hi, **_BRENT_KW)
+
+
+def _wall_crossing(x, target: float, t_lo: float, t_hi: float) -> float | None:
+    """Root of x(t) = target on [t_lo, t_hi], where x is monotone toward
+    the target (None: none)."""
+    g_lo = x(t_lo) - target
+    g_hi = x(t_hi) - target
+    if g_hi == 0.0:
+        return t_hi
+    if (g_hi > 0) == (g_lo > 0):
+        return None
+    return brentq(lambda t: x(t) - target, t_lo, t_hi, **_BRENT_KW)
 
 
 # event codes of next_event and next_events
@@ -186,13 +201,7 @@ class SinusoidArc:
     def wall_crossing(self, target: float, t_lo: float, t_hi: float) -> float | None:
         """Root of x(t) = target on [t_lo, t_hi], where x is monotone toward
         the target (velocity sign constant on the span)."""
-        g_lo = self.x(t_lo) - target
-        g_hi = self.x(t_hi) - target
-        if g_hi == 0.0:
-            return t_hi
-        if (g_hi > 0) == (g_lo > 0):
-            return None
-        return brentq(lambda t: self.x(t) - target, t_lo, t_hi, **_BRENT_KW)
+        return _wall_crossing(self.x, target, t_lo, t_hi)
 
 
 def make_arc(p: Params, start: PhaseState, sign: int) -> "FlightArc":
@@ -248,51 +257,117 @@ class UniformFlightArc(SinusoidArc):
 
 
 class WallVanishingArc:
-    """One wall-vanishing arc: the n = 1 call of ``WallVanishingArcs``.  It
-    keeps every accepted step, so that after ``event_times`` x and v can be
-    read anywhere on the arc (a step's interpolant is built when first
-    read)."""
+    """One wall-vanishing arc, stepped on Python floats by the one-problem
+    DOP853 of ``lockstep`` (``step1`` and its siblings).  ``event_times``
+    is ``WallVanishingArcs.event_times`` and ``_events`` for one arc: the
+    same steps, minimum step, Taylor skip test, dense samples, Brent polish
+    and wall crossing, in the same floating-point order, so its events, x
+    and v equal those the arc gets in any bundle, bit for bit.  It keeps
+    every accepted step, so that after ``event_times`` x and v can be read
+    anywhere on the arc; the interpolant of a step before the last one is
+    rebuilt when read."""
 
     def __init__(self, p: Params, x, v, t, sign, with_transport=False):
         self.params = p
         self.t0, self.x0, self.v0, self.sign = t, x, v, sign
-        self._steps = []
-        self._arcs = WallVanishingArcs(
-            p, np.array([x], dtype=float), np.array([v], dtype=float),
-            np.array([t], dtype=float), np.array([float(sign)]),
-            jac=with_transport, steps=self._steps)
+        self.jac = with_transport
+        fs, F, w, hp = sign * p.f, p.F, p.omega, 0.5 * math.pi
+
+        def fun(t, y):     # WallVanishingArcs._rhs on floats
+            c = math.cos(w * t)
+            out = [y[1], F * math.cos(hp * y[0]) * c - fs]
+            if len(y) > 2:
+                gx = -F * hp * math.sin(hp * y[0]) * c
+                out += [y[4], y[5], gx * y[2], gx * y[3]]
+            return out
+        self._fun = fun
 
     def event_times(self, horizon: float):
-        """``WallVanishingArcs.event_times`` (None: none)."""
-        times = self._arcs.event_times(horizon)
-        self._starts = [float(s[0][0]) for s in self._steps]
-        return tuple(None if math.isnan(e[0]) else float(e[0]) for e in times)
+        """``WallVanishingArcs.event_times`` of this arc (None: none)."""
+        p, s, fun = self.params, self.sign, self._fun
+        t = float(self.t0)
+        y = [float(self.x0), float(self.v0)]
+        if self.jac:
+            y += [1.0, 0.0, 0.0, 1.0]   # the flow derivative starts at I
+        f = fun(t, y)
+        h = lockstep.initial_step1(fun, t, y, f, horizon, _WV_RTOL, _WV_ATOL)
+        target = p.r if s > 0 else p.l
+        guard = self.t0 + (DEPARTURE_GUARD * TWO_PI / p.omega
+                           if self.v0 == 0.0 else 0.0)
+        # every accepted step as (t, h, array): row j of the array holds
+        # component j of y and y_new, then its 13 stages
+        self._steps = []
+        rejected = False
+        while True:
+            min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+            if h < min_step:
+                if rejected:  # pragma: no cover - integrator failure
+                    raise RuntimeError("wall-vanishing arc: step size underflow")
+                h = min_step
+            t_new = min(t + h, horizon)
+            hh = t_new - t
+            y_new, f_new, K, err = lockstep.step1(fun, t, y, f, hh,
+                                                  _WV_RTOL, _WV_ATOL)
+            h = lockstep.next_size1(hh, err, rejected)
+            rejected = not err < 1.0
+            if rejected:
+                continue
+            self._steps.append((t, hh, np.array([[a, b, *kc] for a, b, kc
+                                                 in zip(y, y_new, K)])))
+            vo, vn = y[1], y_new[1]
+            bend = p.F * (p.omega + 0.5 * math.pi * (abs(vo) + (p.F + p.f) * hh))
+            if (vn * s <= 0.0 or vo * s < 0.0 or t_new >= horizon
+                    or s * (vo + f[1] * hh) <= bend * hh * hh
+                    or s * (y_new[0] - target) > -1e-12):
+                self._last = (t, hh, y, lockstep.dense1(fun, t, hh, y, y_new, K))
+                t_v, t_x = self._events(t_new, target, guard)
+                if t_v is not None or t_x is not None or t_new >= horizon:
+                    return t_v, t_x
+            t, y, f = t_new, y_new, f_new
 
-    def _y(self, t: float) -> np.ndarray:
-        i = max(0, bisect.bisect_right(self._starts, t) - 1)
-        t_old, h, y_old, F = self._steps[i]
-        if len(F) == 2:   # (y_new, stages): build the interpolant
-            F = lockstep.dense(self._arcs._rhs(self._arcs.sign * self.params.f),
-                               t_old, h, y_old, *F)
-            self._steps[i] = (t_old, h, y_old, F)
-        return lockstep.interpolate(F, y_old, (t - t_old) / h)[:, 0]
+    def _events(self, t_end, target, guard):
+        """``WallVanishingArcs._events`` on the last step, which ends at
+        t_end."""
+        t_old, h = self._last[:2]
+        lo, S, t_v = t_old, _WV_STEP_SAMPLES, None
+        for k in range(1, S + 1):
+            t = t_end if k == S else t_old + h * (k / S)
+            v = self.v(t)
+            if t > guard and (v == 0.0 or (v > 0) != (self.sign > 0)):
+                t_v = (t if v == 0.0
+                       else _polish_velocity_zero(self.v, max(lo, guard), t))
+                break
+            lo = t
+        return t_v, _wall_crossing(self.x, target, t_old,
+                                   t_end if t_v is None else t_v)
+
+    def _at(self, t: float, row: int) -> float:
+        """Component ``row`` at time t, on the accepted step that holds t."""
+        t_old, h, y_old, F = self._last
+        if t < t_old:
+            i = max(0, bisect.bisect_right(self._steps, t, key=itemgetter(0)) - 1)
+            t_old, h, packed = self._steps[i]
+            rows = packed.tolist()
+            y_old = [r[0] for r in rows]
+            F = lockstep.dense1(self._fun, t_old, h, y_old, [r[1] for r in rows],
+                                [r[2:] for r in rows])
+        return lockstep.interpolate1(F[row], y_old[row], (t - t_old) / h)
 
     def x(self, t: float) -> float:
-        return float(self._y(t)[0])
+        return self._at(t, 0)
 
     def v(self, t: float) -> float:
-        return float(self._y(t)[1])
+        return self._at(t, 1)
 
     def state(self, t: float) -> PhaseState:
-        y = self._y(t)
-        return PhaseState(float(y[0]), float(y[1]), t)
+        return PhaseState(self.x(t), self.v(t), t)
 
     def transport(self, t_a: float, t_b: float) -> np.ndarray:
         """Variational flow derivative over [t0, t_b] (with_transport)."""
-        if not self._arcs.jac:
+        if not self.jac:
             raise ContractViolation("arc built without variational transport")
-        y = self._y(t_b)
-        return np.array([[y[2], y[3]], [y[4], y[5]]])
+        return np.array([[self._at(t_b, 2), self._at(t_b, 3)],
+                         [self._at(t_b, 4), self._at(t_b, 5)]])
 
     def friction_column(self, t_a: float, t_b: float) -> None:
         """No closed-form derivative in f under this law."""
@@ -472,10 +547,10 @@ class WallVanishingArcs(_LockstepArcs):
     the departure guard on the dense polynomial, where the roots are
     polished.  ``x`` and ``v`` read the last steps.  With ``jac`` the
     variational block (rows 2-5: dx/dx0, dx/dv0, dv/dx0, dv/dv0) rides
-    along; a list ``steps`` gets the accepted steps of a single arc."""
+    along."""
 
-    def __init__(self, p: Params, x, v, t, sign, jac=False, steps=None):
-        self.params, self.jac, self.steps = p, jac, steps
+    def __init__(self, p: Params, x, v, t, sign, jac=False):
+        self.params, self.jac = p, jac
         self.t0, self.x0, self.v0, self.sign = t, x, v, sign
 
     def _rhs(self, fs):
@@ -544,8 +619,6 @@ class WallVanishingArcs(_LockstepArcs):
             rejected[idx] = ~ok
             a = idx[ok]
             t[a], y[:, a], f[:, a] = t_new[ok], y_new[:, ok], f_new[:, ok]
-            if self.steps is not None and ok.all():
-                self.steps.append((ti, hh, yi, (y_new, K)))
             s, vo, vn, ha = self.sign[a], yi[1, ok], y_new[1, ok], hh[ok]
             bend = p.F * (p.omega + 0.5 * math.pi * (np.abs(vo) + (p.F + p.f) * ha))
             search = ((vn * s <= 0.0) | (vo * s < 0.0) | (t_new[ok] >= horizon)
@@ -557,8 +630,6 @@ class WallVanishingArcs(_LockstepArcs):
                                    y_new[:, sel], K[:, :, sel])
                 self._t[c], self._h[c], self._y[:, c] = ti[sel], hh[sel], yi[:, sel]
                 self._F[:, :, c] = F
-                if self.steps is not None:
-                    self.steps[-1] = (ti, hh, yi, F)
                 t_v[c], t_x[c] = self._events(c, t_new[sel], target[c], guard[c])
                 live[c] = np.isnan(t_v[c]) & np.isnan(t_x[c]) & (t_new[sel] < horizon)
                 idx = idx[live[idx]]

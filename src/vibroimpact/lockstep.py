@@ -8,9 +8,24 @@ problem with its own time and step size: the tableau of
 estimate, step-size controller and 7th-order dense output.  A state is a
 (d, n) array.  The error norm runs over its first ``N_ERR`` components
 only, so the others (a variational block) never change the steps.
+
+``initial_step1``, ``step1``, ``next_size1``, ``dense1`` and
+``interpolate1`` are the same DOP853 for one problem on Python floats,
+where numpy's dispatch on 1-element arrays would cost more than the
+arithmetic.  They do each operation of their array versions in the same
+order, so one problem gets the numbers it gets in any bundle, bit for bit.
+That rests on three premises: ``math.sin`` and ``math.cos`` equal
+``np.sin`` and ``np.cos``; a sum over stages adds the products in order
+from the first one, as numpy's reduce over a non-inner axis does; and the
+controller's powers are taken by ``np.power``, because Python's ``**``
+differs from it in the last bit on some inputs.
 """
 
 from __future__ import annotations
+
+import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _co
@@ -25,6 +40,10 @@ _A = [_co.A[s, :s, None, None] for s in range(len(_C))]
 _B = _co.B[:, None, None]
 _E3, _E5 = _co.E3[:, None, None], _co.E5[:, None, None]
 _D = _co.D[:, :, None, None]
+# the tableau on Python floats, for the one-problem versions
+_Cf, _Bf, _E3f, _E5f, _Df = (a.tolist()
+                              for a in (_C, _co.B, _co.E3, _co.E5, _co.D))
+_Af = [_co.A[s, :s].tolist() for s in range(len(_C))]
 
 
 def _dot(a, K):
@@ -99,6 +118,92 @@ def interpolate(F, y_old, theta):
     for k in range(5, -1, -1):
         y = (y + F[k]) * (theta if k % 2 == 0 else 1.0 - theta)
     return y + y_old
+
+
+def _fdot(a, k):
+    """``_dot`` for one component: the products a_j k_j added in order from
+    the first one (a start at 0.0 would turn a sum of -0.0 into 0.0)."""
+    return reduce(add, map(mul, a, k))
+
+
+def _fsq(a):
+    """sum_i a_i^2, in order."""
+    return reduce(add, [c * c for c in a])
+
+
+def initial_step1(fun, t, y, f, t_bound, rtol, atol):
+    """``initial_step`` of one problem; y and f are lists of floats."""
+    scale = [atol + abs(c) * rtol for c in y[:N_ERR]]
+    d0 = math.sqrt(_fsq([c / s for c, s in zip(y, scale)]) / N_ERR)
+    d1 = math.sqrt(_fsq([c / s for c, s in zip(f, scale)]) / N_ERR)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound - t)
+    f1 = fun(t + h0, [c + h0 * g for c, g in zip(y, f)])
+    d2 = math.sqrt(_fsq([(a - b) / s for a, b, s in zip(f1, f, scale)])
+                   / N_ERR) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = float(np.power(0.01 / max(d1, d2), 1.0 / 8.0))
+    return min(min(100.0 * h0, h1), t_bound - t)
+
+
+def _stage(fun, t, h, y, K, s):
+    """Appends stage s, fun at t + c_s h, to the per-component lists K."""
+    a = _Af[s]
+    k = fun(t + _Cf[s] * h, [c + _fdot(a, kc) * h for c, kc in zip(y, K)])
+    for kc, v in zip(K, k):
+        kc.append(v)
+
+
+def step1(fun, t, y, f, h, rtol, atol):
+    """``step`` of one problem; y, f and what fun returns are lists of
+    floats.  The stages come back as one list of 13 values per component,
+    and the error norm as a float."""
+    K = [[c] for c in f]
+    for s in range(1, _S):
+        _stage(fun, t, h, y, K, s)
+    y_new = [c + h * _fdot(_Bf, kc) for c, kc in zip(y, K)]
+    f_new = fun(t + h, y_new)
+    for kc, v in zip(K, f_new):
+        kc.append(v)
+    scale = [atol + max(abs(a), abs(b)) * rtol
+             for a, b in zip(y, y_new[:N_ERR])]
+    e5 = _fsq([_fdot(_E5f, kc) / s for kc, s in zip(K, scale)])
+    e3 = _fsq([_fdot(_E3f, kc) / s for kc, s in zip(K, scale)])
+    if e5 == 0.0 and e3 == 0.0:
+        return y_new, f_new, K, 0.0
+    return y_new, f_new, K, abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * N_ERR)
+
+
+def next_size1(h, err, rejected):
+    """``next_size`` of one problem, with only the branch taken evaluated:
+    err ** _EXPONENT is inf in numpy at err = 0, where Python raises."""
+    if err < 1.0:
+        grow = (_MAX_FACTOR if err == 0.0
+                else min(_MAX_FACTOR, _SAFETY * float(np.power(err, _EXPONENT))))
+        return abs(h) * (min(1.0, grow) if rejected else grow)
+    return abs(h) * max(_MIN_FACTOR, _SAFETY * float(np.power(err, _EXPONENT)))
+
+
+def dense1(fun, t, h, y, y_new, K):
+    """``dense`` of one problem: the 7 interpolant coefficients of each
+    component.  Appends stages 13-15 to K."""
+    for s in range(_S + 1, len(_Cf)):
+        _stage(fun, t, h, y, K, s)
+    out = []
+    for c, c_new, kc in zip(y, y_new, K):
+        dy = c_new - c
+        out.append([dy, h * kc[0] - dy, 2 * dy - h * (kc[_S] + kc[0])]
+                   + [h * _fdot(d, kc) for d in _Df])
+    return out
+
+
+def interpolate1(F, y_old, theta):
+    """``interpolate`` of one component with coefficients F."""
+    u = 1.0 - theta
+    return ((((((F[6] * theta + F[5]) * u + F[4]) * theta + F[3]) * u + F[2])
+             * theta + F[1]) * u + F[0]) * theta + y_old
 
 
 def brentq(f, lo: np.ndarray, hi: np.ndarray, xtol: float, rtol: float,

@@ -409,10 +409,15 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         sign = -1
 
     # an initial state resting on a wall but pointed outward is resolved by
-    # an immediate reflection
+    # an immediate reflection.  A speed too small to reflect (2g/v, the
+    # reflection factor's entry, overflows) is no usable speed: the start is
+    # a grazing contact, as a flight's wall hit with no speed into the wall.
     if sign != 0 and ((x == p.r and sign > 0) or (x == p.l and sign < 0)):
-        reflect(sign)
-        v, sign = -v, -sign
+        if math.isfinite(2.0 * applied_force(p, x, t) / v):
+            reflect(sign)
+            v, sign = -v, -sign
+        else:
+            v = 0.0
 
     while True:
         # --- zero-velocity states (interior or at a wall) ------------------

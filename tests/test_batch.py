@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
-                         classify_regions, make_params, period_map,
-                         period_map_jacobian, sticking_band, strobemap)
+                         applied_force, classify_regions, make_params,
+                         period_map, period_map_jacobian, sticking_band,
+                         strobemap)
+from vibroimpact.flight import WallVanishingArc, WallVanishingArcs
 from vibroimpact.simulator import EVENT_CAP, LOCKSTEP_EVENTS, _advance_batch
 from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 
@@ -219,6 +221,26 @@ def test_rest_next_to_a_wall_maps_inside(p):
             assert period_map_jacobian(p, (x, 0.0), t0).output == image
 
 
+@pytest.mark.parametrize("wall, v", [(1.0, 1e-310), (-1.0, -1e-310),
+                                     (1.0, 5e-324)])
+def test_wall_start_with_subnormal_speed_out_is_grazing(wall, v):
+    """A start on a wall whose speed out of it is too small to reflect
+    (2g/v, the reflection factor's entry, overflows) is a grazing contact:
+    the Jacobian map calls it undefined instead of returning nan, and the
+    plain, Jacobian and batch maps give the same image and class."""
+    res = period_map_jacobian(FAST, (wall, v), 0.3)
+    assert res.undefined and res.signature[0] == "G"
+    plain = period_map(FAST, (wall, v), 0.3)
+    b = period_map_batch(FAST, np.array([wall]), np.array([v]), 0.3)
+    assert plain.output == res.output == (b.out_x[0], b.out_v[0])
+    assert plain.classification is res.classification is MapClass.UNDEFINED
+    assert b.code[0] == CLASS_CODE[MapClass.UNDEFINED]
+    # a small normal speed still reflects
+    res = period_map_jacobian(FAST, (wall, 1e-300 * wall), 0.3)
+    assert res.signature[0] == ("R" if wall > 0 else "L")
+    assert res.jacobian is None or np.isfinite(res.jacobian).all()
+
+
 def test_roundoff_wall_hits_are_grazing():
     # the left-wall hit carries v = +6.7e-17, speed out of the wall
     out = period_map(PARAMS[2], (1.8e-119, 0.0), 1.0).output
@@ -226,6 +248,85 @@ def test_roundoff_wall_hits_are_grazing():
     # the left-wall hit carries v = 0: no reflection factor exists
     res = period_map_jacobian(PARAMS[3], (1.8e-119, 0.0), 2.0)
     assert res.undefined and "G" in res.signature
+
+
+def test_float_and_array_primitives_agree():
+    """The scalar arcs take math.sin and math.cos where the lockstep
+    bundles take np.sin and np.cos, and np.power on a float where they take
+    it on an array; batch and scalar maps are equal bit for bit only where
+    these agree."""
+    rng = np.random.default_rng(3)
+    phases = np.concatenate([np.linspace(-4.0 * math.pi, 4.0 * math.pi, 1601),
+                             rng.uniform(-200.0, 200.0, 3000)])
+    for name in ("sin", "cos"):
+        want = getattr(np, name)(phases)
+        got = np.array([getattr(math, name)(a) for a in phases.tolist()])
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, (
+            f"math.{name} differs from np.{name} at {bad.size} of "
+            f"{phases.size} phases (first: {phases[bad[0]]!r}): batch/scalar "
+            "identity cannot hold on this platform")
+    errs = 10.0 ** rng.uniform(-20.0, 2.0, 2000)
+    for e in (-1.0 / 8.0, 1.0 / 8.0):
+        got = np.array([float(np.power(a, e)) for a in errs.tolist()])
+        assert np.array_equal(got, np.power(errs, e)), (
+            "np.power on a float differs from np.power on an array: "
+            "batch/scalar identity cannot hold on this platform")
+
+
+def _wv_starts(p, starts):
+    """Arc starts (x, v, t0, sign): at rest, the sign of the force."""
+    return [(x, v, t, (1 if v > 0 else -1) if v != 0.0
+             else (1 if applied_force(p, x, t) > 0 else -1))
+            for x, v, t in starts]
+
+
+def assert_arc_equals_bundle_row(arc, arcs, i, horizon):
+    """The float arc equals row i of a bundle, bit for bit: the event
+    times, x and v at the event and at samples of the last step, and the
+    transport."""
+    t_v, t_x = arc.event_times(horizon)
+    np.testing.assert_array_equal(
+        [math.nan if e is None else e for e in (t_v, t_x)],
+        [e[i] for e in arcs.event_times(horizon)])
+    t_end = t_x if t_x is not None else t_v if t_v is not None else horizon
+    row = arcs.take([i])
+    ts = row._t[0] + (t_end - row._t[0]) * np.linspace(0.0, 1.0, 5)
+    for t in ts.tolist():
+        assert (arc.x(t), arc.v(t)) == (row.x(np.array([t]))[0],
+                                        row.v(np.array([t]))[0])
+        if arc.jac:
+            want = [row._at(np.array([t]), k)[0] for k in (2, 3, 4, 5)]
+            assert arc.transport(arc.t0, t).ravel().tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(WV_PARAMS), x0=st.floats(-1.0 + 1e-6, 1.0 - 1e-6),
+       v0=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       t0=st.floats(0.0, 10.0), span=st.floats(0.05, 1.5),
+       jac=st.booleans(),
+       others=st.lists(st.tuples(st.floats(-1.0 + 1e-6, 1.0 - 1e-6),
+                                 st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+                                 st.floats(0.0, 2.0)), max_size=6),
+       at=st.integers(0, 6))
+@example(p=WV_PARAMS[1], x0=0.0, v0=0.0, t0=0.0, span=1.0, jac=False,
+         others=[], at=0)
+@example(p=WV_PARAMS[1], x0=0.0, v0=0.0, t0=0.0, span=1.0, jac=True,
+         others=[(0.5, 1.0, 0.3)], at=1)
+def test_wall_vanishing_arc_equals_bundle_row(p, x0, v0, t0, span, jac,
+                                             others, at):
+    """``WallVanishingArc`` on floats equals ``WallVanishingArcs``, as an
+    n = 1 bundle and as one row of a larger one, from starts in flight and
+    at rest, with and without the variational block."""
+    horizon = t0 + span * p.T
+    (start,) = _wv_starts(p, [(x0, v0, t0)])
+    rest = _wv_starts(p, [(x, v, max(0.0, t0 - d)) for x, v, d in others])
+    at = min(at, len(rest))
+    for starts, i in (([start], 0), (rest[:at] + [start] + rest[at:], at)):
+        x, v, t, s = (np.array(c, dtype=float) for c in zip(*starts))
+        arc = WallVanishingArc(p, *start[:2], t0, start[3], with_transport=jac)
+        assert_arc_equals_bundle_row(arc, WallVanishingArcs(p, x, v, t, s, jac=jac),
+                                     i, horizon)
 
 
 @settings(max_examples=30, deadline=None)
