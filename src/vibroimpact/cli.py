@@ -121,8 +121,9 @@ def cmd_simulate(args) -> int:
     t0 = _pick(args, run, 0.0, t0=float)
     traj = simulate(p, PhaseState(x0, v0, t0), duration)
     dt = args.sample_dt if args.sample_dt is not None else p.T / 100.0
+    samples = traj.samples_csv(dt)
     _write(args.out_prefix + "_events.json", traj.to_json())
-    _write(args.out_prefix + "_samples.csv", traj.samples_csv(dt))
+    _write(args.out_prefix + "_samples.csv", samples)
     # stroboscopic states, one row per period
     ts = [t0 + n * p.T for n in range(int(round(duration / p.T)) + 1)]
     ts = [min(t, traj.final.t) for t in ts if t <= traj.final.t + 1e-9]

@@ -48,8 +48,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  (perfbench/spans.py wraps i
 from scipy.optimize import brentq
 
 from . import lockstep
-from .model import (TWO_PI, ContractViolation, ForceLaw, Params, PhaseState,
-                    applied_force)
+from .model import TWO_PI, ContractViolation, ForceLaw, Params, PhaseState
 
 _EPS = float(np.finfo(float).eps)
 _BRENT_KW = dict(xtol=1e-14, rtol=4.0 * _EPS, maxiter=200)
@@ -94,6 +93,20 @@ def _wall_crossing(x, target: float, t_lo: float, t_hi: float) -> float | None:
     if (g_hi > 0) == (g_lo > 0):
         return None
     return brentq(lambda t: x(t) - target, t_lo, t_hi, **_BRENT_KW)
+
+
+def _step_may_hold_event(p: Params, s, vo, vn, a, h, x_new, target, at_horizon):
+    """Whether a wall-vanishing step of sign s must be searched for an
+    event: it went from velocity vo and acceleration a (= x'') over h to
+    velocity vn and position x_new.  It holds none if x ends 1e-12 short of
+    the wall ahead and s (vo + a h) > M h^2, with M = F (omega + pi/2 (|vo|
+    + (F + f) h)) >= |a'| (twice the Taylor remainder bound).  One arc
+    passes floats and a bundle arrays; both take the same operations in the
+    same order."""
+    bend = p.F * (p.omega + 0.5 * math.pi * (abs(vo) + (p.F + p.f) * h))
+    return ((vn * s <= 0.0) | (vo * s < 0.0) | at_horizon
+            | (s * (vo + a * h) <= bend * h * h)
+            | (s * (x_new - target) > -1e-12))
 
 
 # event codes of next_event and next_events
@@ -204,23 +217,6 @@ class SinusoidArc:
         return _wall_crossing(self.x, target, t_lo, t_hi)
 
 
-def make_arc(p: Params, start: PhaseState, sign: int) -> "FlightArc":
-    """Public constructor enforcing the start contract: the velocity sign
-    matches, or v = 0 with the net force exceeding friction toward ``sign``."""
-    if sign not in (-1, 1):
-        raise ContractViolation(f"sign must be +-1, got {sign}")
-    if start.v != 0.0:
-        if (start.v > 0) != (sign > 0):
-            raise ContractViolation(
-                f"arc sign {sign} inconsistent with start velocity {start.v}")
-    else:
-        g = applied_force(p, start.x, start.t)
-        if abs(g) <= p.f or (g > 0) != (sign > 0):
-            raise ContractViolation(
-                "zero-velocity start requires |force| > f with force toward the arc sign")
-    return _arc(p, start.x, start.v, start.t, sign)
-
-
 def _arc(p: Params, x: float, v: float, t: float, sign: int, jac=False):
     if p.force_law is ForceLaw.UNIFORM:
         return UniformFlightArc(p, x, v, t, sign)
@@ -314,11 +310,8 @@ class WallVanishingArc:
                 continue
             self._steps.append((t, hh, np.array([[a, b, *kc] for a, b, kc
                                                  in zip(y, y_new, K)])))
-            vo, vn = y[1], y_new[1]
-            bend = p.F * (p.omega + 0.5 * math.pi * (abs(vo) + (p.F + p.f) * hh))
-            if (vn * s <= 0.0 or vo * s < 0.0 or t_new >= horizon
-                    or s * (vo + f[1] * hh) <= bend * hh * hh
-                    or s * (y_new[0] - target) > -1e-12):
+            if _step_may_hold_event(p, s, y[1], y_new[1], f[1], hh, y_new[0],
+                                    target, t_new >= horizon):
                 self._last = (t, hh, y, lockstep.dense1(fun, t, hh, y, y_new, K))
                 t_v, t_x = self._events(t_new, target, guard)
                 if t_v is not None or t_x is not None or t_new >= horizon:
@@ -539,15 +532,12 @@ class UniformFlightArcs(_LockstepArcs):
 
 class WallVanishingArcs(_LockstepArcs):
     """Wall-vanishing arcs of many cells, each stepped by the lockstep DOP853
-    to its first accepted step that holds an event, or to the horizon.  A
-    step of sign s holds none if x ends 1e-12 short of the wall ahead and
-    s (v + a h) > M h^2, with v and a = x'' at its start and M = F (omega +
-    pi/2 (|v| + (F + f) h)) >= |a'| (twice the Taylor remainder bound).
-    Other steps are searched: v is sampled at _WV_STEP_SAMPLES points past
-    the departure guard on the dense polynomial, where the roots are
-    polished.  ``x`` and ``v`` read the last steps.  With ``jac`` the
-    variational block (rows 2-5: dx/dx0, dx/dv0, dv/dx0, dv/dv0) rides
-    along."""
+    to its first accepted step that holds an event, or to the horizon.
+    Steps that ``_step_may_hold_event`` cannot rule out are searched: v is
+    sampled at _WV_STEP_SAMPLES points past the departure guard on the
+    dense polynomial, where the roots are polished.  ``x`` and ``v`` read
+    the last steps.  With ``jac`` the variational block (rows 2-5: dx/dx0,
+    dx/dv0, dv/dx0, dv/dv0) rides along."""
 
     def __init__(self, p: Params, x, v, t, sign, jac=False):
         self.params, self.jac = p, jac
@@ -619,11 +609,9 @@ class WallVanishingArcs(_LockstepArcs):
             rejected[idx] = ~ok
             a = idx[ok]
             t[a], y[:, a], f[:, a] = t_new[ok], y_new[:, ok], f_new[:, ok]
-            s, vo, vn, ha = self.sign[a], yi[1, ok], y_new[1, ok], hh[ok]
-            bend = p.F * (p.omega + 0.5 * math.pi * (np.abs(vo) + (p.F + p.f) * ha))
-            search = ((vn * s <= 0.0) | (vo * s < 0.0) | (t_new[ok] >= horizon)
-                      | (s * (vo + fi[1, ok] * ha) <= bend * ha * ha)
-                      | (s * (y_new[0, ok] - target[a]) > -1e-12))
+            search = _step_may_hold_event(
+                p, self.sign[a], yi[1, ok], y_new[1, ok], fi[1, ok], hh[ok],
+                y_new[0, ok], target[a], t_new[ok] >= horizon)
             sel, c = np.flatnonzero(ok)[search], a[search]
             if c.size:
                 F = lockstep.dense(self._rhs(fs[c]), ti[sel], hh[sel], yi[:, sel],

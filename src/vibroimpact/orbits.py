@@ -178,13 +178,17 @@ def symmetric_orbit(p: Params, branch: int, m: int = 1) -> OrbitRecord:
     formula = symmetric_orbit_formula(p, branch, m)
     st = symmetric_orbit_state(p, formula, 0.0)
     res = period_map_jacobian(p, (st.x, st.v), 0.0, m)
-    lam = res.multipliers()
+    return _orbit_record(p, res, math.hypot(res.output[0] - st.x,
+                                            res.output[1] - st.v))
+
+
+def _orbit_record(p: Params, res: MapResult, residual: float) -> OrbitRecord:
+    """The orbit through the input of the Jacobian map ``res``."""
     tr = res.trace
-    rnorm = math.hypot(res.output[0] - st.x, res.output[1] - st.v)
-    return OrbitRecord(fixed_state=(st.x, st.v), t0=0.0, k=m,
-                       multipliers=lam, trace=tr, det=res.det,
+    return OrbitRecord(fixed_state=res.input, t0=res.t0, k=res.k,
+                       multipliers=res.multipliers(), trace=tr, det=res.det,
                        orbit_type=classify_multipliers(tr, res.det),
-                       signature=res.signature, residual=rnorm, params=p)
+                       signature=res.signature, residual=residual, params=p)
 
 
 def nonsticking_margin(p: Params) -> float:
@@ -268,11 +272,7 @@ def find_periodic(p: Params, guess: tuple[float, float], k: int = 1,
                          f"after {NEWTON_ITERATIONS} iterations")
     if res.jacobian is None:
         raise OrbitError("converged point has undefined derivative")
-    tr = res.trace
-    return OrbitRecord(fixed_state=(float(z[0]), float(z[1])), t0=t0, k=k,
-                       multipliers=res.multipliers(), trace=tr, det=res.det,
-                       orbit_type=classify_multipliers(tr, res.det),
-                       signature=res.signature, residual=rnorm, params=p)
+    return _orbit_record(p, res, rnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,11 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
         k = orbit.k
     if f_max is None:
         f_max = symmetric_fold_friction(p) * 1.05
+    if not ds > 0.0:
+        raise ContractViolation(f"need a positive step, got ds = {ds}")
+    if f_min > f_max:
+        raise ContractViolation(f"empty friction range: f_min = {f_min} "
+                                f"> f_max = {f_max}")
     t0 = orbit.t0
     y = np.array([orbit.fixed_state[0], orbit.fixed_state[1], p.f])
     base_sig = orbit.signature
@@ -536,6 +541,8 @@ def lift_conjugacy_check(p: Params, initial: PhaseState, duration: float,
     """
     if p.force_law is not ForceLaw.UNIFORM:
         raise ContractViolation("the tent-map lift is defined for the uniform law")
+    if n_samples < 2:
+        raise ContractViolation(f"need n_samples >= 2, got {n_samples}")
     traj = simulate(p, initial, duration)
     sig = traj.event_signature()
     if "S" in sig or "G" in sig:

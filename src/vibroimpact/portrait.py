@@ -78,11 +78,12 @@ class GridSpec:
 
     def cells(self) -> np.ndarray:
         """(nx*nv, 2) cell centers, v-major row order (x fastest)."""
-        xs, vs = self.xs(), self.vs()
-        out = np.empty((self.nx * self.nv, 2))
-        out[:, 0] = np.tile(xs, self.nv)
-        out[:, 1] = np.repeat(vs, self.nx)
-        return out
+        return self._rows(0, self.nx * self.nv)
+
+    def _rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b-1 of ``cells()``."""
+        k = np.arange(a, b)
+        return np.column_stack([self.xs()[k % self.nx], self.vs()[k // self.nx]])
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +233,7 @@ def classify_regions(p: Params, grid: GridSpec, *,
                      workers: int = 1) -> RegionGrid:
     """Cellwise one-period determinant and contraction class."""
     grid.validate_against(p)
-    xs, vs = grid.xs(), grid.vs()
-
-    def cells_at(a, b):   # rows of grid.cells()
-        k = np.arange(a, b)
-        return np.column_stack([xs[k % grid.nx], vs[k // grid.nx]])
-
-    det, code, out_x, out_v = _map_cells(p, grid.nx * grid.nv, cells_at,
+    det, code, out_x, out_v = _map_cells(p, grid.nx * grid.nv, grid._rows,
                                          grid.t0, workers)
     shape = (grid.nv, grid.nx)
     return RegionGrid(spec=grid, det=det.reshape(shape),

@@ -149,6 +149,8 @@ class Trajectory:
         return json.dumps(doc, indent=1)
 
     def samples_csv(self, dt: float) -> str:
+        if not dt > 0.0:
+            raise ContractViolation(f"sample step must be positive, got {dt}")
         n = max(2, int(math.floor((self.final.t - self.initial.t) / dt)) + 1)
         ts = self.initial.t + dt * np.arange(n)
         ts = ts[ts <= self.final.t + 1e-12]
@@ -349,7 +351,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
         raise ContractViolation("duration must be positive")
 
     events: list[ResolvedEvent] | None = [] if record else None
-    segments: list[Segment] | None = [] if record else None
+    segments: list[Segment] | None = [] if record or jac else None
     factors: list | None = [] if jac else None
     sig: list[str] = []
     counts = {"impacts_left": 0, "impacts_right": 0, "turnings": 0,
@@ -371,7 +373,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
                 events.append(ev)
 
     def rest(t_a, t_b, constrained=False):
-        if record and t_b > t_a:
+        if segments is not None and t_b > t_a:
             segments.append(StickInterval(x, t_a, t_b, constrained))
 
     def reflect(wall):
@@ -467,7 +469,7 @@ def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
             raise ContractViolation("internal: flight requested without a sign")
         arc = _arc(p, x, v, t, sign, jac)
         kind, t_ev, x, v = next_event(p, arc, t_end)
-        if record:
+        if segments is not None:
             segments.append(FlightSegment(arc, t, t_ev))
         if jac:
             factors.append(("flight", arc.transport(t, t_ev),

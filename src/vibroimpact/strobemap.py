@@ -123,16 +123,19 @@ def multipliers(tr: float, det: float) -> tuple[complex, complex]:
     return (complex(0.5 * tr, -0.5 * s), complex(0.5 * tr, 0.5 * s))
 
 
+def _xv(state) -> tuple[float, float]:
+    """(x, v) of a PhaseState or of an (x, v) pair, as floats."""
+    if isinstance(state, PhaseState):
+        return state.x, state.v
+    return float(state[0]), float(state[1])
+
+
 def _map(p: Params, state, t0: float, k: int, event_cap: int,
          jac: bool) -> MapResult:
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    if isinstance(state, PhaseState):
-        x, v = state.x, state.v
-    else:
-        x, v = float(state[0]), float(state[1])
-    res = _advance(p, x, v, t0, t0 + k * p.T, record=jac, jac=jac,
-                   event_cap=event_cap)
+    x, v = _xv(state)
+    res = _advance(p, x, v, t0, t0 + k * p.T, jac=jac, event_cap=event_cap)
     product = factors = df = None
     if jac and not res.undefined:
         product, df = np.eye(2), np.zeros(2)
@@ -245,10 +248,7 @@ def finite_difference_jacobian(p: Params, state, t0: float = 0.0, k: int = 1,
     (the map is only piecewise smooth); use it away from event-topology
     boundaries.
     """
-    if isinstance(state, PhaseState):
-        x, v = state.x, state.v
-    else:
-        x, v = float(state[0]), float(state[1])
+    x, v = _xv(state)
     if h is None:
         h = 1e-7 * max(1.0, abs(x), abs(v))
     probes = [(x + h, v), (x - h, v), (x, v + h), (x, v - h)]

@@ -89,6 +89,18 @@ def test_simulate_zero_periods(cfg):
     assert main(["simulate", "--config", cfg, "--periods", "0"]) == 2
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.1", "nan"])
+def test_simulate_nonpositive_sample_step_is_usage_error(cfg, tmp_path, capsys,
+                                                         dt):
+    """A sample step that is not positive is refused before any file is
+    written: exit code 2, no traceback."""
+    rc = main(["simulate", "--config", cfg, "--periods", "1", "--sample-dt", dt,
+               "--out-prefix", str(tmp_path / "run")])
+    assert rc == 2
+    assert "sample step must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize("flags,t_end", [
     (["--periods", "2"], 4 * math.pi),
     (["--duration", "3.5"], 3.5),
@@ -215,6 +227,21 @@ def test_continue_wall_vanishing_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--step", "0"], "positive step"),
+    (["--step", "-0.001"], "positive step"),
+    (["--f-min", "0.5", "--f-max", "0.1"], "empty friction range"),
+])
+def test_continue_without_steps_or_range_is_usage_error(cfg, tmp_path, capsys,
+                                                        flags, message):
+    """A step that is not positive, or f_min > f_max, would give a vacuous
+    branch: exit code 2 and no output file."""
+    out = tmp_path / "b.csv"
+    assert main(["continue", "--config", cfg, "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_periodic_command(cfg, capsys):
     rc = main(["periodic", "--config", cfg, "--x0", "-0.951", "--v0", "3.911"])
     assert rc == 0
@@ -237,6 +264,15 @@ def test_lift_check_command(cfg, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "conjugacy holds" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_lift_check_too_few_samples_is_usage_error(cfg, capsys, samples):
+    """Fewer than two samples check nothing: exit code 2, not a pass."""
+    rc = main(["lift-check", "--config", cfg, "--x0", "0.0", "--v0", "5.0",
+               "--periods", "3", "--samples", samples])
+    assert rc == 2
+    assert "n_samples >= 2" in capsys.readouterr().err
 
 
 def test_lift_check_wall_vanishing_is_usage_error(capsys):

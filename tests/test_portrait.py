@@ -16,6 +16,7 @@ from vibroimpact import (AttractorRegistry, ContractViolation, GridError,
                          tile_from_bytes)
 from vibroimpact.portrait import _neighbourhood
 from vibroimpact.simulator import turning_factor
+from vibroimpact.strobemap import BATCH_CELLS
 
 
 def test_gridspec_validation(fast):
@@ -40,6 +41,19 @@ def test_gridspec_refuses_iteration_counts(counts):
 def test_classify_cell_refuses_an_empty_budget(narrow_lowfric, budget):
     with pytest.raises(ContractViolation, match="budget must be >= 1"):
         classify_cell(narrow_lowfric, 0.45, 0.1, budget=budget)
+
+
+def test_grid_rows_in_batch_pieces_make_the_cells():
+    """Rows made BATCH_CELLS at a time, as ``classify_regions`` makes them,
+    concatenate to ``cells()`` bit for bit on a grid that is not a multiple
+    of BATCH_CELLS; both are v-major (x fastest)."""
+    g = GridSpec((-1.0, 1.0), (-2.0, 2.0), 401, 13)
+    n = g.nx * g.nv
+    assert n % BATCH_CELLS
+    pieces = np.concatenate([g._rows(a, min(a + BATCH_CELLS, n))
+                             for a in range(0, n, BATCH_CELLS)])
+    v_major = np.column_stack([np.tile(g.xs(), g.nv), np.repeat(g.vs(), g.nx)])
+    assert pieces.tobytes() == g.cells().tobytes() == v_major.tobytes()
 
 
 def test_cloud_fixed_point_is_constant(fast):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from vibroimpact import (ContractViolation, MapClass, PhaseState,
                          finite_difference_jacobian, make_params, period_map,
                          period_map_jacobian, simulate)
-from vibroimpact.simulator import reflection_factor, turning_factor
+from vibroimpact.simulator import (EVENT_CAP, _advance, reflection_factor,
+                                   turning_factor)
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
 from tests.test_batch import FAST, PARAMS, WV_PARAMS
@@ -30,7 +31,8 @@ def test_turning_factor_entries():
 @pytest.mark.parametrize("state", [(0.0, 2.0), (0.3, 0.0), (-0.7, -0.4)])
 def test_jacobian_map_keeps_the_simulated_segments(law, state):
     """``period_map_jacobian`` keeps the segments ``simulate`` would give
-    for the same period (same kinds and times); ``period_map`` keeps none."""
+    for the same period (same kinds and times); ``period_map`` keeps none.
+    A Jacobian run keeps no event list: only a trajectory reads one."""
     p = make_params(F=1.0, f=0.5, omega=2.0 * math.pi, l=-1.0, r=1.0,
                     force_law=law)   # impacts, turnings and rests
     res = period_map_jacobian(p, state, 0.0, 2)
@@ -38,6 +40,8 @@ def test_jacobian_map_keeps_the_simulated_segments(law, state):
     assert ([(type(s), s.t0, s.t1) for s in res.segments]
             == [(type(s), s.t0, s.t1) for s in traj.segments])
     assert period_map(p, state).segments is None
+    run = _advance(p, *state, 0.0, 2 * p.T, jac=True, event_cap=EVENT_CAP)
+    assert run.events is None and len(run.segments) == len(res.segments)
 
 
 def test_flight_only_jacobian_is_shear():
