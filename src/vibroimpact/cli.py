@@ -18,7 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from .model import (ContractViolation, ParameterError, Params, PhaseState,
-                    params_from_dict)
+                    csv_text, params_from_dict)
 from .simulator import SimulationError, simulate
 from .orbits import (Nonexistence, OrbitError, continue_in_friction,
                      find_periodic, lift_conjugacy_check,
@@ -108,9 +108,7 @@ def _write(path: str, content: str | bytes) -> None:
         p.write_text(content)
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_simulate(args, cfg: dict, p: Params) -> int:
     run = cfg.get("run", {})
     duration = _pick(args, run, 0.0, duration=float,
                      periods=lambda n: int(n) * p.T)
@@ -127,17 +125,15 @@ def cmd_simulate(args) -> int:
     # stroboscopic states, one row per period
     ts = [t0 + n * p.T for n in range(int(round(duration / p.T)) + 1)]
     ts = [min(t, traj.final.t) for t in ts if t <= traj.final.t + 1e-9]
-    rows = ["period,x,v"] + [f"{n},{x:.17g},{v:.17g}"
-                             for n, (_, x, v) in enumerate(traj.sample(ts))]
-    _write(args.out_prefix + "_strobe.csv", "\n".join(rows) + "\n")
+    _write(args.out_prefix + "_strobe.csv", csv_text(
+        ("period", "x", "v"),
+        ((n, x, v) for n, (_, x, v) in enumerate(traj.sample(ts).tolist()))))
     print(f"wrote {args.out_prefix}_events.json, _samples.csv, _strobe.csv "
           f"({len(traj.events)} events)")
     return 0
 
 
-def cmd_portrait(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_portrait(args, cfg: dict, p: Params) -> int:
     grid = _grid_from(cfg, args, p)
     workers = args.workers or (os.cpu_count() or 1)
     if args.mode == "regions":
@@ -164,9 +160,7 @@ def cmd_portrait(args) -> int:
     return 0
 
 
-def cmd_continue(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_continue(args, cfg: dict, p: Params) -> int:
     run = cfg.get("run", {})
     branch = _pick(args, run, 1, branch=int)
     k = _pick(args, run, 1, k=int)
@@ -188,9 +182,7 @@ def cmd_continue(args) -> int:
     return 0
 
 
-def cmd_periodic(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_periodic(args, cfg: dict, p: Params) -> int:
     try:
         orb = find_periodic(p, (args.x0, args.v0), args.k, args.t0)
     except (OrbitError, SimulationError) as exc:
@@ -210,9 +202,7 @@ def cmd_periodic(args) -> int:
     return 0
 
 
-def cmd_lift_check(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_lift_check(args, cfg: dict, p: Params) -> int:
     rep = lift_conjugacy_check(p, PhaseState(args.x0, args.v0, args.t0),
                                args.periods * p.T, n_samples=args.samples)
     if rep.applicable:
@@ -223,9 +213,7 @@ def cmd_lift_check(args) -> int:
     return 0
 
 
-def cmd_regions_invariance(args) -> int:
-    cfg = load_config(args.config)
-    p = params_from_dict(cfg["params"])
+def cmd_regions_invariance(args, cfg: dict, p: Params) -> int:
     grid = _grid_from(cfg, args, p)
     workers = args.workers or (os.cpu_count() or 1)
     rg = classify_regions(p, grid, workers=workers)
@@ -326,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        return args.fn(args, cfg, params_from_dict(cfg["params"]))
     except (ConfigError, ParameterError, GridError, ContractViolation,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

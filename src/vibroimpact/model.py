@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 
 TWO_PI = 2.0 * math.pi
@@ -142,8 +143,16 @@ def sticking_band(p: Params) -> StickingBand:
 
 
 # ---------------------------------------------------------------------------
-# serialization: the ``params`` mapping of configs and trajectory logs
+# serialization: the ``params`` mapping of configs and logs; CSV tables
 # ---------------------------------------------------------------------------
+
+def csv_text(header, rows) -> str:
+    """A CSV table: one comma-separated, "\\n"-ended line for the header and
+    each row; a float (numpy's too) as %.17g, None empty, anything else str."""
+    return "".join(",".join("%.17g" % c if isinstance(c, float) else
+                            "" if c is None else str(c) for c in row) + "\n"
+                   for row in chain([header], rows))
+
 
 def params_to_dict(p: Params) -> dict:
     return {"F": p.F, "f": p.f, "omega": p.omega, "l": p.l, "r": p.r,

@@ -18,8 +18,6 @@ collides when m pi f = 2 F.  For m = 1 these reduce to the classic
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
-                    applied_force)
+                    applied_force, csv_text)
 from .flight import SinusoidArc
 from .simulator import EVENT_CAP, SimulationError, simulate
 # period_map (unused here) and _pmj, Newton's map, stay module attributes:
@@ -313,14 +311,9 @@ class ContinuationResult:
     cap_hits: int          # corrector calls that ran out of iterations
 
     def csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["f", "x0", "v0", "tr", "det", "type"])
-        for pt in self.points:
-            w.writerow([f"{pt.f:.17g}", f"{pt.state[0]:.17g}",
-                        f"{pt.state[1]:.17g}", f"{pt.trace:.17g}",
-                        f"{pt.det:.17g}", pt.orbit_type.value])
-        return buf.getvalue()
+        return csv_text(("f", "x0", "v0", "tr", "det", "type"),
+                        ((pt.f, *pt.state, pt.trace, pt.det,
+                          pt.orbit_type.value) for pt in self.points))
 
 
 def continue_in_friction(p: Params, orbit: OrbitRecord, *,
@@ -333,8 +326,9 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
 
     Detects folds by a sign reversal of the f-component of the branch
     tangent (refined by shrinking steps across the reversal); terminates
-    with "sticking boundary" when the orbit's event signature acquires
-    sticking or grazing or its minimum flight speed falls below 1e-3, and
+    with "sticking boundary" when the orbit's event signature acquires a
+    stick (a grazing map has no Jacobian, so the corrector never converges
+    on one) or its minimum flight speed falls below 1e-3, and
     at the range ends otherwise.  Each point costs only its corrector maps:
     the speed is read off the converged map's ``segments``.  The friction
     column of the extended system is the map's closed-form ``df``, so the
@@ -427,8 +421,7 @@ def continue_in_friction(p: Params, orbit: OrbitRecord, *,
             if y_new is not None and res_new.signature == base_sig:
                 advanced = True
                 break
-            if y_new is not None and ("S" in res_new.signature
-                                      or "G" in res_new.signature):
+            if y_new is not None and "S" in res_new.signature:
                 termination = "sticking boundary"
                 return ContinuationResult(points, fold, termination,
                                           iterations, cap_hits)

@@ -13,8 +13,6 @@ settled; the verdict rules run on arrays.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import ContractViolation, Params
+from .model import ContractViolation, Params, csv_text
 from .simulator import EVENT_CAP, _cap_error
 from .strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
 # unused here; module attributes that perfbench/spans.py wraps by name
@@ -98,13 +96,9 @@ class CloudResult:
     errors: dict[int, str]
 
     def csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["seed", "iteration", "x", "v"])
-        for i, pts in enumerate(self.points):
-            for j, (x, v) in enumerate(pts):
-                w.writerow([i, j, f"{x:.17g}", f"{v:.17g}"])
-        return buf.getvalue()
+        return csv_text(("seed", "iteration", "x", "v"),
+                        ((i, j, x, v) for i, pts in enumerate(self.points)
+                         for j, (x, v) in enumerate(pts.tolist())))
 
 
 def iterate_cloud(p: Params, grid: GridSpec,
@@ -418,17 +412,11 @@ def _verdicts(p: Params, xs, vs, t0: float, budget: int,
 
 def verdicts_csv(grid: GridSpec, verdicts: list[CellVerdict]) -> str:
     """Verdict table: cell index, coordinates, outcome, diagnostics."""
-    cells = grid.cells()
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["cell", "x", "v", "verdict", "orbit_id", "orbit_period",
-                "periods_used", "det_last"])
-    for i, ((x, v), cv) in enumerate(zip(cells, verdicts)):
-        w.writerow([i, f"{x:.17g}", f"{v:.17g}", cv.kind.value,
-                    "" if cv.orbit_id is None else cv.orbit_id,
-                    "" if cv.orbit_period is None else cv.orbit_period,
-                    cv.periods_used, f"{cv.det_last:.17g}"])
-    return buf.getvalue()
+    return csv_text(("cell", "x", "v", "verdict", "orbit_id", "orbit_period",
+                     "periods_used", "det_last"),
+                    ((i, x, v, cv.kind.value, cv.orbit_id, cv.orbit_period,
+                      cv.periods_used, cv.det_last) for i, ((x, v), cv)
+                     in enumerate(zip(grid.cells().tolist(), verdicts))))
 
 
 # ---------------------------------------------------------------------------

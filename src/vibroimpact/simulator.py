@@ -23,8 +23,6 @@ from ``reflection_factor`` and ``turning_factor``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from bisect import bisect_left
@@ -35,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (ContractViolation, ForceLaw, Params, PhaseState, TWO_PI,
-                    applied_force, params_to_dict, spatial_envelope)
+                    applied_force, csv_text, params_to_dict, spatial_envelope)
 from .flight import (HORIZON, IMPACT, IRREGULAR, FlightArc, UniformFlightArcs,
                      WallVanishingArcs, _arc, next_event, next_events)
 
@@ -154,12 +152,7 @@ class Trajectory:
         n = max(2, int(math.floor((self.final.t - self.initial.t) / dt)) + 1)
         ts = self.initial.t + dt * np.arange(n)
         ts = ts[ts <= self.final.t + 1e-12]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "x", "v"])
-        for row in self.sample(ts):
-            w.writerow([f"{c:.17g}" for c in row])
-        return buf.getvalue()
+        return csv_text(("t", "x", "v"), self.sample(ts).tolist())
 
 
 # Signature code of each event kind; impacts are coded by wall.
@@ -345,6 +338,9 @@ class RunResult:
 def _advance(p: Params, x: float, v: float, t: float, t_end: float, *,
              record: bool = False, jac: bool = False,
              event_cap: int) -> RunResult:
+    if not all(map(math.isfinite, (v, t, t_end))):
+        raise ContractViolation(f"non-finite start or time: v={v}, t={t}, "
+                                f"t_end={t_end}")
     if not (p.l <= x <= p.r):
         raise ContractViolation(f"initial position {x} outside [{p.l}, {p.r}]")
     if t_end <= t:

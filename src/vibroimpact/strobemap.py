@@ -190,6 +190,9 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
     """
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(vs).all()
+            and math.isfinite(t0)):
+        raise ContractViolation("non-finite state or t0 in a batch map")
     n = len(xs)
     out_x, out_v, det = np.empty(n), np.empty(n), np.empty(n)
     counts = np.zeros((n, 4), dtype=np.int64)

@@ -101,6 +101,22 @@ def test_simulate_nonpositive_sample_step_is_usage_error(cfg, tmp_path, capsys,
     assert not list(tmp_path.glob("run_*"))
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--v0", "nan", "--periods", "1"],
+    ["simulate", "--duration", "inf"],
+    ["portrait", "--mode", "regions", "--nx", "4", "--nv", "4", "--t0", "nan",
+     "--workers", "1"],
+], ids=["simulate v0 nan", "simulate duration inf", "portrait t0 nan"])
+def test_non_finite_start_or_time_is_usage_error(cfg, tmp_path, capsys,
+                                                 command):
+    """Refused before any file is written: exit code 2, no traceback."""
+    rc = main(command + ["--config", cfg,
+                         "--out-prefix", str(tmp_path / "run")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize("flags,t_end", [
     (["--periods", "2"], 4 * math.pi),
     (["--duration", "3.5"], 3.5),
@@ -315,6 +331,8 @@ MALFORMED_CONFIGS = {
     "headless.cfg": "F = 1.0\nf = 0\n",
     "percent.cfg": PARAMS_INI + "F = 1%\n",
     "x0.json": "{" + PARAMS_JSON + ', "run": {"x0": [1]}}',
+    "section.cfg": PARAMS_INI + "F = 1.0\n[plot]\nwidth = 3\n",
+    "noparams.cfg": "[run]\nx0 = 0.4\n",
 }
 
 

@@ -164,8 +164,11 @@ def test_region_grid_csv_and_tile(fast):
 
 
 @pytest.mark.parametrize("cut", [lambda b: b[:-3], lambda b: b[:20],
-                                 lambda b: b + b"\0\0"],
-                         ids=["short by 3", "20 bytes", "2 extra"])
+                                 lambda b: b + b"\0\0",
+                                 lambda b: b"VIPX" + b[4:],
+                                 lambda b: b[:4] + b"\2\0\0\0" + b[8:]],
+                         ids=["short by 3", "20 bytes", "2 extra",
+                              "wrong magic", "version 2"])
 def test_malformed_tile_is_refused(fast, cut):
     rg = classify_regions(fast, GridSpec((-1, 1), (-2, 2), 4, 3))
     with pytest.raises(GridError):
@@ -307,6 +310,15 @@ def test_island_verdict(fast):
     assert v.kind is Verdict.ISLAND
 
 
+def test_converged_island_verdict():
+    """A seed on the symmetric orbit converges with no dissipative event:
+    an island, with the period it converged to."""
+    p = make_params(F=1.0, f=0.2, omega=2 * math.pi, l=-1.0, r=1.0)
+    v = classify_cell(p, *symmetric_orbit(p, 1).fixed_state, t0=0.0,
+                      budget=200)
+    assert (v.kind, v.periods_used, v.orbit_period) == (Verdict.ISLAND, 10, 1)
+
+
 def test_no_impact_line_verdict():
     """Frictionless wide chamber: a state on the impact-free solution
     family is a fixed point with zero velocity at the strobe."""
@@ -391,6 +403,36 @@ def test_island_area_refuses_a_box_beyond_the_walls(fast, monkeypatch):
     monkeypatch.setattr(portrait, "period_map_batch", no_map)
     with pytest.raises(GridError, match="beyond the walls"):
         island_area(fast, (0.0, 1.0), box=(-1.5, 1.5, -1.0, 3.0))
+
+
+@pytest.mark.parametrize("island,seed_cell", [
+    ({(1, 2), (0, 2)}, (1, 2)),   # only the neighbour below is in
+    ({(0, 0), (4, 4)}, None),     # no neighbour is in
+], ids=["neighbour in", "no neighbour in"])
+def test_island_fill_starts_next_to_an_outside_seed_cell(fast, monkeypatch,
+                                                         island, seed_cell):
+    """The seed is in an island but its cell center (2, 2) is not: the
+    fill grows from an in-island neighbour, and without one it is refused."""
+    from vibroimpact import portrait
+
+    def membership(p, xs, vs, t0, n_periods, box):
+        tested = np.zeros(len(xs), dtype=bool)
+        for j, i in island:
+            tested[5 * j + i] = True
+        tested[-1] = True                  # the seed itself
+        return tested
+
+    monkeypatch.setattr(portrait, "_island_cells", membership)
+    run = lambda: island_area(fast, (0.0, 0.0), box=(-1.0, 1.0, -2.0, 2.0),
+                              nx=5, nv=5, mc_samples=200, mc_forward=10,
+                              forward_periods=1)
+    if seed_cell is None:
+        with pytest.raises(IslandSeedError, match="no island cell found"):
+            run()
+        return
+    res = run()
+    assert res.seed_cell == seed_cell
+    assert {tuple(c) for c in np.argwhere(res.mask).tolist()} == island
 
 
 def test_island_gone_past_fold():

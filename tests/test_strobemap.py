@@ -10,6 +10,7 @@ from vibroimpact import (ContractViolation, MapClass, PhaseState,
                          period_map_jacobian, simulate)
 from vibroimpact.simulator import (EVENT_CAP, _advance, reflection_factor,
                                    turning_factor)
+from vibroimpact.strobemap import period_map_batch
 from vibroimpact.orbits import symmetric_orbit
 from tests.conftest import random_valid_symmetric_params
 from tests.test_batch import FAST, PARAMS, WV_PARAMS
@@ -95,6 +96,44 @@ def test_semigroup_property(fast):
     direct = period_map(fast, z, k=2)
     assert twice.output[0] == pytest.approx(direct.output[0], abs=1e-10)
     assert twice.output[1] == pytest.approx(direct.output[1], abs=1e-10)
+
+
+def test_phase_state_maps_like_the_pair(fast):
+    for z in ((0.2, 2.4), (0.0, 0.15), (-1.0, 0.3)):
+        a = period_map(fast, z, t0=0.3)
+        b = period_map(fast, PhaseState(*z, 0.3), t0=0.3)
+        assert ((b.input, b.output, b.signature, b.det)
+                == (a.input, a.output, a.signature, a.det))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: period_map(FAST, (0.0, NAN)),
+    lambda: period_map(FAST, PhaseState(0.0, INF)),
+    lambda: period_map(FAST, (0.0, 0.5), NAN),
+    lambda: period_map_jacobian(FAST, (0.0, -INF)),
+    lambda: period_map_jacobian(FAST, (0.0, 0.5), INF),
+    lambda: simulate(FAST, PhaseState(0.0, NAN), 1.0),
+    lambda: simulate(FAST, PhaseState(0.0, 1.0, NAN), 1.0),
+    lambda: simulate(FAST, PhaseState(0.0, 1.0), INF),
+    lambda: period_map_batch(FAST, [NAN], [0.5]),
+    lambda: period_map_batch(FAST, [0.0, 0.1], [NAN, 0.5]),
+    lambda: period_map_batch(FAST, np.zeros(100), np.full(100, NAN)),
+    lambda: period_map_batch(FAST, np.zeros(100), np.full(100, 0.5), NAN),
+    lambda: period_map_batch(WV_PARAMS[0], [0.0], [INF]),
+], ids=["map v nan", "map PhaseState v inf", "map t0 nan", "jacobian v -inf",
+        "jacobian t0 inf", "simulate v nan", "simulate t nan",
+        "simulate duration inf", "batch x nan", "batch v nan (one at a time)",
+        "batch v nan (lockstep)", "batch t0 nan (lockstep)",
+        "wall-vanishing batch v inf"])
+def test_non_finite_start_or_time_is_refused(call):
+    """A nan or inf position, velocity, start time or duration is a
+    ContractViolation (CLI exit 2): not a map classed area-preserving, a
+    run to the event cap, or an untyped numpy or scipy error."""
+    with pytest.raises(ContractViolation, match="non-finite"):
+        call()
 
 
 def test_jacobian_matches_finite_differences(fast, rng):
