@@ -15,6 +15,22 @@ being polished by Brent's method.  While the velocity keeps its sign the
 position is monotone, which reduces wall detection to a single bracketed
 root.
 
+Most arcs need no velocity-zero search at all.  On an arc of sign s,
+with v = v0 + c (sin(omega t) - sin0) + a_k (t - t0) and c = a_cos/omega,
+s v never falls below the closed-form floor
+
+    s v0 - |c| - s c sin0 - |a_k| (t_hi - t0)
+
+up to t_hi.  When it exceeds 1e-12 of |v0| + 2 |c| + |a_k| (t_hi - t0),
+``_speed_keeps_sign`` certifies the arc and the knot walk is skipped: a
+computed sine stays in [-1, 1] whatever its rounded argument, so the
+computed v differs from a value above the floor only by the roundoff of
+its last sums, far below that margin, and the walk would find nothing.
+An arc from rest is never certified.  In the benchmark's rounds the floor
+certifies every arc of the island measurement, 72 % of the region map's
+and 64 % of the continuation's (scalar) arcs.  Wall-vanishing arcs keep
+their own Taylor skip test (``_step_may_hold_event``).
+
 Wall-vanishing arcs have no elementary closed form.  ``WallVanishingArcs``
 steps many of them at once by the DOP853 of ``lockstep`` (one step size per
 arc), each to the first accepted step that holds an event: a velocity sign
@@ -24,9 +40,11 @@ one arc on Python floats, with ``lockstep``'s one-problem DOP853, and gets
 the numbers the arc gets in any bundle, bit for bit.
 
 ``UniformFlightArcs`` runs the uniform-law search on many arcs at once, in
-lockstep on numpy arrays: the knots of every window of every arc (window
-edges and acceleration zeros) are sorted into one array and the velocity
-is evaluated on all of them in one pass.  ``next_events`` resolves either
+lockstep on numpy arrays: the knots of every window of every arc not
+certified by the floor (window edges and acceleration zeros) are sorted
+into one array and the velocity is evaluated on all of them in one pass.
+Roots are polished by ``lockstep.brentq``, which is handed the bracket-end
+values the bundle has already computed.  ``next_events`` resolves either
 bundle.
 
 Events have one vocabulary: ``next_event`` (one arc) and ``next_events``
@@ -109,6 +127,16 @@ def _step_may_hold_event(p: Params, s, vo, vn, a, h, x_new, target, at_horizon):
             | (s * (x_new - target) > -1e-12))
 
 
+def _speed_keeps_sign(s, v0, c, sin0, a_k, span):
+    """Whether the arc v(t) = v0 + c (sin(omega t) - sin0) + a_k (t - t0)
+    of sign s keeps s v > 0 on [t0, t0 + span], computed v included, by
+    the speed floor of the module notes: s c sin(omega t) >= -|c| and
+    s a_k (t - t0) >= -|a_k| span.  One arc passes floats and a bundle
+    arrays; both take the same operations in the same order."""
+    floor = s * v0 - abs(c) - s * c * sin0 - abs(a_k) * span
+    return floor > 1e-12 * (abs(v0) + 2.0 * abs(c) + abs(a_k) * span)
+
+
 # event codes of next_event and next_events
 HORIZON, IMPACT, VELOCITY_ZERO, IRREGULAR = 0, 1, 2, 3
 
@@ -182,8 +210,17 @@ class SinusoidArc:
         return min(self.sign * self.v(t) for t in (a, b, *self.accel_zeros(a, b)))
 
     def first_velocity_zero(self, t_hi: float) -> float | None:
-        """First root of v(t) in (t0, t_hi], honoring the departure sign
-        when v(t0) == 0.
+        """First root of v(t) in (t0, t_hi]: None when the speed floor
+        (``_speed_keeps_sign``) certifies that there is none, else the
+        knot walk's."""
+        if _speed_keeps_sign(self.sign, self.v0, self.a_cos / self.omega,
+                             self._sin0, self.a_k, t_hi - self.t0):
+            return None
+        return self._scan_velocity_zero(t_hi)
+
+    def _scan_velocity_zero(self, t_hi: float) -> float | None:
+        """First root of v(t) in (t0, t_hi] by the knot walk, honoring the
+        departure sign when v(t0) == 0.
 
         Arcs released from sticking depart with both v and the acceleration
         at zero; a small guard after t0 keeps roundoff in v from reporting
@@ -413,11 +450,12 @@ class _LockstepArcs:
     def polish_velocity_zeros(self, lo, hi) -> np.ndarray:
         """``_polish_velocity_zero`` per arc, on brackets [lo, hi]."""
         root = lo.copy()
-        go = np.flatnonzero((self.v(lo) > 0) != (self.v(hi) > 0))
+        v_lo, v_hi = self.v(lo), self.v(hi)
+        go = np.flatnonzero((v_lo > 0) != (v_hi > 0))
         if go.size:
-            arcs = self.take(go)
-            root[go] = lockstep.brentq(lambda t, i: arcs.take(i).v(t), lo[go],
-                                       hi[go], **_BRENT_KW)
+            root[go] = lockstep.brentq(lambda i: self.take(go[i]).v, lo[go],
+                                       hi[go], **_BRENT_KW, f_lo=v_lo[go],
+                                       f_hi=v_hi[go])
         return root
 
     def wall_crossing(self, target, t_lo, t_hi) -> np.ndarray:
@@ -427,9 +465,11 @@ class _LockstepArcs:
         out = np.where(g_hi == 0.0, t_hi, np.nan)
         br = np.flatnonzero((g_hi != 0.0) & ((g_hi > 0) != (g_lo > 0)))
         if br.size:
-            arcs, tg = self.take(br), target[br]
-            out[br] = lockstep.brentq(lambda t, i: arcs.take(i).x(t) - tg[i],
-                                      t_lo[br], t_hi[br], **_BRENT_KW)
+            def bracket_fn(i):
+                arcs, tg = self.take(br[i]), target[br[i]]
+                return lambda t: arcs.x(t) - tg
+            out[br] = lockstep.brentq(bracket_fn, t_lo[br], t_hi[br],
+                                      **_BRENT_KW, f_lo=g_lo[br], f_hi=g_hi[br])
         return out
 
 
@@ -479,10 +519,21 @@ class UniformFlightArcs(_LockstepArcs):
         return sub
 
     def first_velocity_zero(self, t_hi: float) -> np.ndarray:
-        """First root of v in (t0, t_hi] per arc (nan: none), in one pass
-        over a sorted (knots, arcs) array: the window edges, chained by the
-        scalar's additions, and the acceleration zeros by the scalar's
-        formula.  Knots the scalar walk leaves out change nothing: zeros up
+        """``SinusoidArc.first_velocity_zero`` per arc (nan: none): arcs
+        that the speed floor certifies are not scanned."""
+        scan = np.flatnonzero(~_speed_keeps_sign(
+            self.sign, self.v0, self.a_cos / self.omega, self._sin0, self.a_k,
+            t_hi - self.t0))
+        root = np.full(len(self.t0), np.nan)
+        if scan.size:
+            root[scan] = self.take(scan)._scan_velocity_zero(t_hi)
+        return root
+
+    def _scan_velocity_zero(self, t_hi: float) -> np.ndarray:
+        """``SinusoidArc._scan_velocity_zero`` per arc (nan: none), in one
+        pass over a sorted (knots, arcs) array: the window edges, chained
+        by the scalar's additions, and the acceleration zeros by the
+        scalar's formula.  Knots the scalar walk leaves out change nothing: zeros up
         to the guard are skipped as it skips edges there, a zero on an edge
         repeats the edge's value, and zeros past t_hi are moved onto it."""
         p, w, n = self.params, self.omega, len(self.t0)

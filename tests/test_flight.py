@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from vibroimpact import ContractViolation, make_params
-from vibroimpact.flight import (HORIZON, IMPACT, VELOCITY_ZERO, UniformFlightArc,
-                                UniformFlightArcs, _arc, next_event)
+from vibroimpact import ContractViolation, lockstep, make_params
+from vibroimpact.flight import (_BRENT_KW, HORIZON, IMPACT, VELOCITY_ZERO,
+                                SinusoidArc, UniformFlightArc, UniformFlightArcs,
+                                _arc, _speed_keeps_sign, next_event)
 
 
 def test_force_free_drift_arc():
@@ -231,3 +233,130 @@ def test_scan_matches_scalar_mixed(p, arcs, t_hi):
     v0 = np.where(rest, 0.0, v0)
     assert_scan_matches_scalar(p, t0, v0, np.where(v0 != 0.0, np.sign(v0), s),
                                t_hi)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form speed floor against the unskipped knot walk
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(SCAN_PARAMS), lift=st.sampled_from([0.0, 1.0, -1.0]),
+       arcs=st.lists(st.tuples(st.floats(0.0, 3.0), st.sampled_from([-1, 1]),
+                               st.integers(-4, 4),
+                               st.just(0.0) | st.floats(-1e-9, 1e-9)),
+                     min_size=1, max_size=16),
+       t_hi=st.floats(0.0, 12.0))
+# exactly on the floor at f = 0: the computed floor is above 0 by an ulp
+# or less, and the walk finds a zero at the trough (without the margin,
+# the floor would certify these arcs)
+@example(p=SCAN_PARAMS[1], lift=0.0, t_hi=3.0,
+         arcs=[(a, s, 0, 0.0) for a, s in ((0.5, -1), (1.5, -1), (2.5, 1))])
+@example(p=SCAN_PARAMS[1], lift=1.0, t_hi=3.0, arcs=[(1.5, 1, 0, 0.0)])
+# 1e-9 below the floor with s c sin0 > 0, a trough within the span
+@example(p=SCAN_PARAMS[1], lift=0.0, t_hi=3.0, arcs=[(1.0, 1, 0, -1e-9)])
+def test_speed_floor_certifies_only_arcs_without_a_zero(p, lift, arcs, t_hi):
+    """Whenever ``_speed_keeps_sign`` certifies an arc, the knot walk it
+    skips, scalar and batch, finds no velocity zero.  The start speeds lie
+    within a few ulps or 1e-9 of the exact floor s v0 = |c| + s c sin0 +
+    |a_k| span, on both sides of it, and the horizons from 0 to 3 periods
+    reach the velocity's troughs, where at f = 0 the floor is attained.
+    lift = 0 gives the uniform law's coefficients (a_cos = F, a_k = -s f);
+    lift = +-1 the tent lift's (a_cos = +-F/R, a_k = -+f/R), whose arcs
+    are only ever scalar."""
+    w = p.omega
+    rows = []
+    for ahead, s, ulps, rel in arcs:
+        t0 = t_hi - ahead * p.T
+        a_cos, a_k = ((p.F, -s * p.f) if lift == 0.0
+                      else (lift * p.F / p.R, -lift * p.f / p.R))
+        c, sin0, span = a_cos / w, math.sin(w * t0), t_hi - t0
+        floor_v = abs(c) + s * c * sin0 + abs(a_k) * span
+        v0 = s * (floor_v * (1.0 + rel) + ulps * math.ulp(floor_v))
+        certified = _speed_keeps_sign(s, v0, c, sin0, a_k, span)
+        arc = SinusoidArc(t0, 0.0, v0, s, a_cos, a_k, w)
+        assert not certified or arc._scan_velocity_zero(t_hi) is None
+        assert arc.first_velocity_zero(t_hi) == (
+            None if certified else arc._scan_velocity_zero(t_hi))
+        rows.append((t0, v0, s, certified))
+    if lift != 0.0:
+        return
+    t0, v0, s, certified = (np.array(c) for c in zip(*rows))
+    bundle = UniformFlightArcs(p, np.zeros_like(t0), v0, t0, s)
+    np.testing.assert_array_equal(
+        _speed_keeps_sign(s, v0, bundle.a_cos / w, bundle._sin0, bundle.a_k,
+                          t_hi - t0), certified)
+    assert np.isnan(bundle._scan_velocity_zero(t_hi)[certified]).all()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep Brent against scipy's, bracket by bracket
+# ---------------------------------------------------------------------------
+
+def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target, ends):
+    """``lockstep.brentq`` on x(t) - target of a bundle of uniform arcs
+    equals scipy's ``brentq`` bracket by bracket, bit for bit.  ``ends``
+    says which end values ("lo", "hi") are passed in rather than evaluated.
+    Returns scipy's number of function calls per bracket."""
+    sign = np.where(v0 != 0.0, np.sign(v0), 1.0)
+    arcs = UniformFlightArcs(p, x0, v0, t0, sign)
+
+    def bracket_fn(i):
+        sub, tg = arcs.take(i), target[i]
+        return lambda t: sub.x(t) - tg
+    ref = [brentq(lambda t, k=k: (arcs.take([k]).x(np.array([t])) - target[k]
+                                  ).item(), lo[k], hi[k], full_output=True,
+                  **_BRENT_KW) for k in range(len(lo))]
+    got = lockstep.brentq(
+        bracket_fn, lo, hi, **_BRENT_KW,
+        f_lo=arcs.x(lo) - target if "lo" in ends else None,
+        f_hi=arcs.x(hi) - target if "hi" in ends else None)
+    np.testing.assert_array_equal(got, [root for root, _ in ref])
+    return [r.function_calls for _, r in ref]
+
+
+END_CHOICES = ((), ("lo",), ("hi",), ("lo", "hi"))
+
+
+@pytest.mark.parametrize("ends", END_CHOICES)
+def test_lockstep_brent_on_drift_brackets(ends):
+    """Force-free drift x = x0 + v0 (t - t0), where the secant step is
+    exact: roots at lo and at hi, one hit exactly by the first secant step
+    (an exact zero mid-iteration), and others reached by the tolerance, so
+    the brackets finish at different iterations."""
+    p = make_params(F=0.0, f=0.0, omega=1.0, l=-10.0, r=10.0)
+    lo = np.array([0.0, 0.0, 0.0, 0.0, 0.3, 1.0])
+    hi = np.array([2.0, 2.0, 2.0, 3.0, 2.9, 1.0 + 1e-9])
+    v0 = np.array([1.0, 1.0, 1.0, 0.7, -1.3, 2.0])
+    zeros = np.zeros_like(lo)
+    # at lo, at hi, the first secant step, then inexact sums
+    target = np.array([0.0, 2.0, 0.5, 0.7 / 3.0, -1.3 * 1.1,
+                       2.0 * (1.0 + 5e-10)])
+    calls = assert_brent_matches_scipy(p, zeros, zeros, v0, lo, hi, target,
+                                       ends)
+    assert calls[:3] == [2, 2, 3] and len(set(calls)) >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(SCAN_PARAMS),
+       brackets=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-1.0, 1.0),
+                                   st.floats(-3.0, 3.0), st.floats(0.0, 2.0),
+                                   st.floats(1e-9, 3.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=24),
+       ends=st.sampled_from(END_CHOICES))
+def test_lockstep_brent_matches_scipy(p, brackets, ends):
+    """Brackets [t0 + a, t0 + a + width] of the closed-form x of random
+    uniform arcs, with the target x at a fraction of the width (0 and 1:
+    a root exactly at an end).  Brackets whose ends do not straddle the
+    target are left out.  Widths from 1e-9 to 3 finish at different
+    iterations in one bundle."""
+    t0, x0, v0, a, width, frac = (np.array(c) for c in zip(*brackets))
+    lo, hi = t0 + a, t0 + a + width
+    sign = np.where(v0 != 0.0, np.sign(v0), 1.0)
+    arcs = UniformFlightArcs(p, x0, v0, t0, sign)
+    target = arcs.x(lo + frac * width)
+    g_lo, g_hi = arcs.x(lo) - target, arcs.x(hi) - target
+    k = np.flatnonzero((g_lo == 0.0) | (g_hi == 0.0)
+                       | (np.signbit(g_lo) != np.signbit(g_hi)))
+    if k.size:
+        assert_brent_matches_scipy(p, t0[k], x0[k], v0[k], lo[k], hi[k],
+                                   target[k], ends)
