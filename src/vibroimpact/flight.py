@@ -454,8 +454,7 @@ class _LockstepArcs:
         go = np.flatnonzero((v_lo > 0) != (v_hi > 0))
         if go.size:
             root[go] = lockstep.brentq(lambda i: self.take(go[i]).v, lo[go],
-                                       hi[go], **_BRENT_KW, f_lo=v_lo[go],
-                                       f_hi=v_hi[go])
+                                       hi[go], v_lo[go], v_hi[go], **_BRENT_KW)
         return root
 
     def wall_crossing(self, target, t_lo, t_hi) -> np.ndarray:
@@ -468,8 +467,8 @@ class _LockstepArcs:
             def bracket_fn(i):
                 arcs, tg = self.take(br[i]), target[br[i]]
                 return lambda t: arcs.x(t) - tg
-            out[br] = lockstep.brentq(bracket_fn, t_lo[br], t_hi[br],
-                                      **_BRENT_KW, f_lo=g_lo[br], f_hi=g_hi[br])
+            out[br] = lockstep.brentq(bracket_fn, t_lo[br], t_hi[br], g_lo[br],
+                                      g_hi[br], **_BRENT_KW)
         return out
 
 
@@ -533,9 +532,10 @@ class UniformFlightArcs(_LockstepArcs):
         """``SinusoidArc._scan_velocity_zero`` per arc (nan: none), in one
         pass over a sorted (knots, arcs) array: the window edges, chained
         by the scalar's additions, and the acceleration zeros by the
-        scalar's formula.  Knots the scalar walk leaves out change nothing: zeros up
-        to the guard are skipped as it skips edges there, a zero on an edge
-        repeats the edge's value, and zeros past t_hi are moved onto it."""
+        scalar's formula.  Knots the scalar walk leaves out change nothing:
+        zeros up to the guard are skipped as it skips edges there, a zero on
+        an edge repeats the edge's value, and zeros past t_hi are moved onto
+        it."""
         p, w, n = self.params, self.omega, len(self.t0)
         window = 0.5 * math.pi / w
         guard = self.t0 + np.where(self.v0 == 0.0, DEPARTURE_GUARD * TWO_PI / w, 0.0)

@@ -206,25 +206,22 @@ def interpolate1(F, y_old, theta):
              * theta + F[1]) * u + F[0]) * theta + y_old
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def brentq(f, lo: np.ndarray, hi: np.ndarray, xtol: float, rtol: float,
-           maxiter: int, f_lo=None, f_hi=None) -> np.ndarray:
+def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+           f_hi: np.ndarray, xtol: float, rtol: float,
+           maxiter: int) -> np.ndarray:
     """scipy's ``brentq`` run on many brackets at once.
 
     ``f(i)`` returns the function of brackets ``i``, which takes one time
     per bracket; it is asked for once per change of the live set.
-    ``f_lo`` and ``f_hi``, when given, are the values at ``lo`` and ``hi``
-    (as that function gives them), which are then not evaluated again.
-    Each bracket follows the iteration of scipy's C brentq step for step,
-    so every root is the one the scalar call returns, bit for bit.
+    ``f_lo`` and ``f_hi`` are its values at ``lo`` and ``hi``, which the
+    caller has already computed.  Each bracket follows the iteration of
+    scipy's C brentq step for step, so every root is the one the scalar
+    call returns, bit for bit.
     """
     out = np.full(len(lo), np.nan)
     sel = np.arange(len(lo))
     xpre, xcur = lo.astype(float), hi.astype(float)
-    if f_lo is None or f_hi is None:
-        g = f(sel)
-    fpre = g(xpre) if f_lo is None else f_lo
-    fcur = g(xcur) if f_hi is None else f_hi
+    fpre, fcur = f_lo, f_hi
     out[fpre == 0.0] = xpre[fpre == 0.0]
     at_hi = (fcur == 0.0) & (fpre != 0.0)
     out[at_hi] = xcur[at_hi]
@@ -262,10 +259,11 @@ def brentq(f, lo: np.ndarray, hi: np.ndarray, xtol: float, rtol: float,
             if not len(sel):
                 break
             g = f(sel)
-        s_int = -fcur * (xcur - xpre) / (fcur - fpre)
-        dpre = (fpre - fcur) / (xpre - xcur)
-        dblk = (fblk - fcur) / (xblk - xcur)
-        s_ext = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_int = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            s_ext = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
         stry = np.where(xpre == xblk, s_int, s_ext)
         short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
                  & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))

@@ -292,11 +292,10 @@ def test_speed_floor_certifies_only_arcs_without_a_zero(p, lift, arcs, t_hi):
 # the lockstep Brent against scipy's, bracket by bracket
 # ---------------------------------------------------------------------------
 
-def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target, ends):
+def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target):
     """``lockstep.brentq`` on x(t) - target of a bundle of uniform arcs
-    equals scipy's ``brentq`` bracket by bracket, bit for bit.  ``ends``
-    says which end values ("lo", "hi") are passed in rather than evaluated.
-    Returns scipy's number of function calls per bracket."""
+    equals scipy's ``brentq`` bracket by bracket, bit for bit.  Returns
+    scipy's number of function calls per bracket."""
     sign = np.where(v0 != 0.0, np.sign(v0), 1.0)
     arcs = UniformFlightArcs(p, x0, v0, t0, sign)
 
@@ -306,19 +305,13 @@ def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target, ends):
     ref = [brentq(lambda t, k=k: (arcs.take([k]).x(np.array([t])) - target[k]
                                   ).item(), lo[k], hi[k], full_output=True,
                   **_BRENT_KW) for k in range(len(lo))]
-    got = lockstep.brentq(
-        bracket_fn, lo, hi, **_BRENT_KW,
-        f_lo=arcs.x(lo) - target if "lo" in ends else None,
-        f_hi=arcs.x(hi) - target if "hi" in ends else None)
+    got = lockstep.brentq(bracket_fn, lo, hi, arcs.x(lo) - target,
+                          arcs.x(hi) - target, **_BRENT_KW)
     np.testing.assert_array_equal(got, [root for root, _ in ref])
     return [r.function_calls for _, r in ref]
 
 
-END_CHOICES = ((), ("lo",), ("hi",), ("lo", "hi"))
-
-
-@pytest.mark.parametrize("ends", END_CHOICES)
-def test_lockstep_brent_on_drift_brackets(ends):
+def test_lockstep_brent_on_drift_brackets():
     """Force-free drift x = x0 + v0 (t - t0), where the secant step is
     exact: roots at lo and at hi, one hit exactly by the first secant step
     (an exact zero mid-iteration), and others reached by the tolerance, so
@@ -331,8 +324,7 @@ def test_lockstep_brent_on_drift_brackets(ends):
     # at lo, at hi, the first secant step, then inexact sums
     target = np.array([0.0, 2.0, 0.5, 0.7 / 3.0, -1.3 * 1.1,
                        2.0 * (1.0 + 5e-10)])
-    calls = assert_brent_matches_scipy(p, zeros, zeros, v0, lo, hi, target,
-                                       ends)
+    calls = assert_brent_matches_scipy(p, zeros, zeros, v0, lo, hi, target)
     assert calls[:3] == [2, 2, 3] and len(set(calls)) >= 3
 
 
@@ -341,9 +333,8 @@ def test_lockstep_brent_on_drift_brackets(ends):
        brackets=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-1.0, 1.0),
                                    st.floats(-3.0, 3.0), st.floats(0.0, 2.0),
                                    st.floats(1e-9, 3.0), st.floats(0.0, 1.0)),
-                         min_size=1, max_size=24),
-       ends=st.sampled_from(END_CHOICES))
-def test_lockstep_brent_matches_scipy(p, brackets, ends):
+                         min_size=1, max_size=24))
+def test_lockstep_brent_matches_scipy(p, brackets):
     """Brackets [t0 + a, t0 + a + width] of the closed-form x of random
     uniform arcs, with the target x at a fraction of the width (0 and 1:
     a root exactly at an end).  Brackets whose ends do not straddle the
@@ -359,4 +350,4 @@ def test_lockstep_brent_matches_scipy(p, brackets, ends):
                        | (np.signbit(g_lo) != np.signbit(g_hi)))
     if k.size:
         assert_brent_matches_scipy(p, t0[k], x0[k], v0[k], lo[k], hi[k],
-                                   target[k], ends)
+                                   target[k])
