@@ -14,7 +14,7 @@ from .oracle import OracleError, OracleTrajectory, oracle_simulate
 from .orbits import (BranchPoint, ConjugacyReport, ContinuationResult,
                      FoldReport, Nonexistence, OrbitError, OrbitRecord,
                      OrbitType, SymmetricOrbitFormula, continue_in_friction,
-                     find_periodic, lift_conjugacy_check, nonsticking_margin,
+                     find_periodic, lift_conjugacy_check,
                      symmetric_fold_friction, symmetric_orbit,
                      symmetric_orbit_formula, symmetric_orbit_state)
 from .portrait import (AttractorRegistry, CellVerdict, CloudResult, GridError,

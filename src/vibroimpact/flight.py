@@ -43,9 +43,21 @@ the numbers the arc gets in any bundle, bit for bit.
 lockstep on numpy arrays: the knots of every window of every arc not
 certified by the floor (window edges and acceleration zeros) are sorted
 into one array and the velocity is evaluated on all of them in one pass.
-Roots are polished by ``lockstep.brentq``, which is handed the bracket-end
-values the bundle has already computed.  ``next_events`` resolves either
-bundle.
+``next_events`` resolves either bundle.
+
+Every root is Brent's, as scipy's ``brentq`` gives it, bit for bit, and
+each is handed the bracket-end values its caller has already computed.
+A single arc's roots (``_wall_crossing``, ``_polish_velocity_zero``) are
+polished by ``brentq``, bound to ``lockstep.brentq1`` on Python floats.
+A bundle's are polished by ``lockstep.brentq`` on arrays, which finishes
+each bracket on floats once 32 or fewer are live, on the bundle's arc as
+a float arc (``one``): a ``SinusoidArc``, or ``lockstep.interpolate1`` on
+a wall-vanishing arc's last step.  An array iteration costs about 55 us of
+numpy dispatch whatever the number of brackets; a float one about 1.2 us a
+bracket on a uniform arc, after about 3 us to hand it over.  Bundles of 64
+and 250 wall crossings took least time with the crossover anywhere from 24
+to 48 live brackets, and the wall-vanishing rounds of the benchmark from
+16 up.
 
 Events have one vocabulary: ``next_event`` (one arc) and ``next_events``
 (a bundle) report (code, t, x, v) by the same rules in the same order.
@@ -63,7 +75,6 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (perfbench/spans.py wraps it)
-from scipy.optimize import brentq
 
 from . import lockstep
 from .model import TWO_PI, ContractViolation, ForceLaw, Params, PhaseState
@@ -89,6 +100,10 @@ _WV_ATOL = 1e-13
 # may hold a velocity zero.
 _WV_STEP_SAMPLES = 8
 
+# Brent's method on one bracket, Python floats; single arcs call it through
+# this name (perfbench/spans.py traces it).
+brentq = lockstep.brentq1
+
 
 def _polish_velocity_zero(v, lo: float, hi: float) -> float:
     """The velocity zero bracketed by [lo, hi], where v(hi) has the sign
@@ -96,9 +111,10 @@ def _polish_velocity_zero(v, lo: float, hi: float) -> float:
     departure guard of an arc from rest whose departure is tangent to
     v = 0: its velocity there is below roundoff (or has turned back
     already), and the zero is reported at lo."""
-    if (v(lo) > 0) == (v(hi) > 0):
+    v_lo, v_hi = v(lo), v(hi)
+    if (v_lo > 0) == (v_hi > 0):
         return lo
-    return brentq(v, lo, hi, **_BRENT_KW)
+    return brentq(v, lo, hi, v_lo, v_hi, **_BRENT_KW)
 
 
 def _wall_crossing(x, target: float, t_lo: float, t_hi: float) -> float | None:
@@ -110,7 +126,8 @@ def _wall_crossing(x, target: float, t_lo: float, t_hi: float) -> float | None:
         return t_hi
     if (g_hi > 0) == (g_lo > 0):
         return None
-    return brentq(lambda t: x(t) - target, t_lo, t_hi, **_BRENT_KW)
+    return brentq(lambda t: x(t) - target, t_lo, t_hi, g_lo, g_hi,
+                  **_BRENT_KW)
 
 
 def _step_may_hold_event(p: Params, s, vo, vn, a, h, x_new, target, at_horizon):
@@ -445,7 +462,8 @@ def next_event(p: Params, arc: FlightArc, horizon: float):
 
 class _LockstepArcs:
     """Event polish shared by the lockstep bundles, which provide ``x``,
-    ``v`` and ``take`` (the bundle of the arcs idx)."""
+    ``v``, ``take`` (the bundle of the arcs idx) and ``one`` (arc k with
+    ``x`` and ``v`` on Python floats, equal to the bundle's)."""
 
     def polish_velocity_zeros(self, lo, hi) -> np.ndarray:
         """``_polish_velocity_zero`` per arc, on brackets [lo, hi]."""
@@ -453,7 +471,8 @@ class _LockstepArcs:
         v_lo, v_hi = self.v(lo), self.v(hi)
         go = np.flatnonzero((v_lo > 0) != (v_hi > 0))
         if go.size:
-            root[go] = lockstep.brentq(lambda i: self.take(go[i]).v, lo[go],
+            root[go] = lockstep.brentq(lambda i: self.take(go[i]).v,
+                                       lambda i: self.one(go[i]).v, lo[go],
                                        hi[go], v_lo[go], v_hi[go], **_BRENT_KW)
         return root
 
@@ -467,8 +486,12 @@ class _LockstepArcs:
             def bracket_fn(i):
                 arcs, tg = self.take(br[i]), target[br[i]]
                 return lambda t: arcs.x(t) - tg
-            out[br] = lockstep.brentq(bracket_fn, t_lo[br], t_hi[br], g_lo[br],
-                                      g_hi[br], **_BRENT_KW)
+
+            def bracket_fn1(i):
+                x, tg = self.one(br[i]).x, float(target[br[i]])
+                return lambda t: x(t) - tg
+            out[br] = lockstep.brentq(bracket_fn, bracket_fn1, t_lo[br],
+                                      t_hi[br], g_lo[br], g_hi[br], **_BRENT_KW)
         return out
 
 
@@ -516,6 +539,13 @@ class UniformFlightArcs(_LockstepArcs):
             setattr(sub, name, getattr(self, name)[idx])
         sub.a_cos, sub.omega, sub.params = self.a_cos, self.omega, self.params
         return sub
+
+    def one(self, k: int) -> SinusoidArc:
+        """Arc k on Python floats: its x and v are the bundle's, as
+        ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos``."""
+        return SinusoidArc(float(self.t0[k]), float(self.x0[k]),
+                           float(self.v0[k]), float(self.sign[k]), self.a_cos,
+                           float(self.a_k[k]), self.omega)
 
     def first_velocity_zero(self, t_hi: float) -> np.ndarray:
         """``SinusoidArc.first_velocity_zero`` per arc (nan: none): arcs
@@ -620,6 +650,11 @@ class WallVanishingArcs(_LockstepArcs):
         return lockstep.interpolate(self._F[:, row], self._y[row],
                                     (t - self._t) / self._h)
 
+    def one(self, k: int) -> "_LastStep1":
+        """The last step of arc k on Python floats."""
+        return _LastStep1(self._t[k], self._h[k], self._y[:, k],
+                          self._F[:, :, k])
+
     def x(self, t):
         return self._at(t, 0)
 
@@ -692,6 +727,25 @@ class WallVanishingArcs(_LockstepArcs):
             t_v[br] = last.take(br).polish_velocity_zeros(lo, hi[br])
         t_stop = np.where(np.isnan(t_v), t_end, t_v)
         return t_v, last.wall_crossing(target, last._t, t_stop)
+
+
+class _LastStep1:
+    """``WallVanishingArcs._at`` of one arc on Python floats, by
+    ``lockstep.interpolate1``: the same operations as the bundle's."""
+
+    __slots__ = ("t", "h", "y", "F")
+
+    def __init__(self, t, h, y, F):
+        """y: the step's start state, F: its (7, d) coefficients; rows 0
+        and 1 (x and v) are kept."""
+        self.t, self.h = float(t), float(h)
+        self.y, self.F = y[:2].tolist(), F[:, :2].T.tolist()
+
+    def x(self, t: float) -> float:
+        return lockstep.interpolate1(self.F[0], self.y[0], (t - self.t) / self.h)
+
+    def v(self, t: float) -> float:
+        return lockstep.interpolate1(self.F[1], self.y[1], (t - self.t) / self.h)
 
 
 def next_events(p: Params, arcs, horizon: float):

@@ -1,7 +1,8 @@
 """Scalar numerics run on n problems at once, in lockstep on numpy arrays;
 each problem gets the numbers of its own n = 1 run.
 
-``brentq`` is scipy's Brent root finder, bracket by bracket.  The rest is
+``brentq`` is scipy's Brent root finder (Brent, *Algorithms for
+Minimization Without Derivatives*, 1973), bracket by bracket.  The rest is
 scipy's DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5-6), each
 problem with its own time and step size: the tableau of
 ``scipy.integrate._ivp.dop853_coefficients``, the initial step, error
@@ -9,10 +10,12 @@ estimate, step-size controller and 7th-order dense output.  A state is a
 (d, n) array.  The error norm runs over its first ``N_ERR`` components
 only, so the others (a variational block) never change the steps.
 
-``initial_step1``, ``step1``, ``next_size1``, ``dense1`` and
-``interpolate1`` are the same DOP853 for one problem on Python floats,
-where numpy's dispatch on 1-element arrays would cost more than the
-arithmetic.  They do each operation of their array versions in the same
+``brentq1`` is the same Brent for one bracket on Python floats, and
+``brentq`` finishes its last live brackets with it; ``initial_step1``,
+``step1``, ``next_size1``, ``dense1`` and ``interpolate1`` are the same
+DOP853 for one problem.  On one problem numpy's dispatch on 1-element
+arrays would cost more than the arithmetic.  They do each operation of
+their array versions (for Brent, of scipy's C iteration) in the same
 order, so one problem gets the numbers it gets in any bundle, bit for bit.
 That rests on three premises: ``math.sin`` and ``math.cos`` equal
 ``np.sin`` and ``np.cos``; a sum over stages adds the products in order
@@ -206,7 +209,89 @@ def interpolate1(F, y_old, theta):
              * theta + F[1]) * u + F[0]) * theta + y_old
 
 
-def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+# Live brackets at or below which ``brentq`` finishes each bracket on
+# Python floats (``_brent1``): measured crossover, whose basis the flight
+# module notes give.
+_FLOAT_TAIL = 32
+
+
+def _nan_error(x) -> ValueError:
+    """scipy's error for a NaN function value at x."""
+    return ValueError(f"The function value at x={x} is NaN; "
+                      "solver cannot converge.")
+
+
+def _has_nan(a: np.ndarray) -> bool:
+    """Whether a holds a NaN: its sum of squares is NaN only then, and one
+    dot product costs less than ``np.isnan(a).any()``."""
+    return math.isnan(np.dot(a, a))
+
+
+def _brent1(f, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, xtol, rtol,
+            iters):
+    """Iterations of scipy's C brentq on Python floats, from the state its
+    loop has at the top of an iteration, with ``iters`` of them left.  A
+    zero denominator is an infinite step in C, which fails the short-step
+    test: it bisects."""
+    for _ in range(iters):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise _nan_error(xcur)
+    raise RuntimeError(  # pragma: no cover - brentq's own iteration cap
+        f"Failed to converge after {iters} iterations, value is {xcur}")
+
+
+def brentq1(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
+            rtol: float, maxiter: int) -> float:
+    """scipy's ``brentq`` of one bracket on Python floats, handed the values
+    f_lo and f_hi at its ends, which the caller has already computed.  It
+    does the operations of scipy's C iteration in the same order, so the
+    root is scipy's, bit for bit; like scipy, it raises ValueError on a NaN
+    value of f and on ends of the same sign."""
+    if f_lo != f_lo:
+        raise _nan_error(lo)
+    if f_hi != f_hi:
+        raise _nan_error(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    return _brent1(f, lo, hi, 0.0, f_lo, f_hi, 0.0, 0.0, 0.0, xtol, rtol,
+                   maxiter)
+
+
+def brentq(f, f1, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
            f_hi: np.ndarray, xtol: float, rtol: float,
            maxiter: int) -> np.ndarray:
     """scipy's ``brentq`` run on many brackets at once.
@@ -216,12 +301,18 @@ def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     ``f_lo`` and ``f_hi`` are its values at ``lo`` and ``hi``, which the
     caller has already computed.  Each bracket follows the iteration of
     scipy's C brentq step for step, so every root is the one the scalar
-    call returns, bit for bit.
+    call returns, bit for bit.  Once at most ``_FLOAT_TAIL`` brackets are
+    live, each finishes alone on Python floats (``_brent1``) from its
+    state, on ``f1(i)``: the function of bracket ``i`` (an int) on floats,
+    which must equal f's.  A NaN value raises ValueError, as in scipy.
     """
     out = np.full(len(lo), np.nan)
     sel = np.arange(len(lo))
     xpre, xcur = lo.astype(float), hi.astype(float)
     fpre, fcur = f_lo, f_hi
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if _has_nan(fx):
+            raise _nan_error(x[np.isnan(fx)][0])
     out[fpre == 0.0] = xpre[fpre == 0.0]
     at_hi = (fcur == 0.0) & (fpre != 0.0)
     out[at_hi] = xcur[at_hi]
@@ -229,14 +320,18 @@ def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     if np.any(go & (np.signbit(fpre) == np.signbit(fcur))):
         raise ValueError("f(a) and f(b) must have different signs")
     sel, xpre, xcur, fpre, fcur = sel[go], xpre[go], xcur[go], fpre[go], fcur[go]
-    g = f(sel)
+    g = None
     xblk = np.zeros(len(sel))
     fblk = np.zeros(len(sel))
     spre = np.zeros(len(sel))
     scur = np.zeros(len(sel))
-    for _ in range(maxiter):
-        if not len(sel):
-            break
+    for it in range(maxiter):
+        if len(sel) <= _FLOAT_TAIL:
+            state = zip(*(a.tolist() for a in (xpre, xcur, xblk, fpre, fcur,
+                                               fblk, spre, scur)))
+            for i, st in zip(sel.tolist(), state):
+                out[i] = _brent1(f1(i), *st, xtol, rtol, maxiter - it)
+            return out
         new_blk = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(new_blk, xpre, xblk)
         fblk = np.where(new_blk, fpre, fblk)
@@ -257,8 +352,8 @@ def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
             fpre, fcur, fblk = fpre[keep], fcur[keep], fblk[keep]
             spre, scur, delta, sbis = spre[keep], scur[keep], delta[keep], sbis[keep]
             if not len(sel):
-                break
-            g = f(sel)
+                return out
+            g = None
         with np.errstate(divide="ignore", invalid="ignore"):
             s_int = -fcur * (xcur - xpre) / (fcur - fpre)
             dpre = (fpre - fcur) / (xpre - xcur)
@@ -272,7 +367,10 @@ def brentq(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
         xpre, fpre = xcur, fcur
         dx = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         xcur = xpre + dx
+        if g is None:
+            g = f(sel)
         fcur = g(xcur)
-    else:  # pragma: no cover - brentq's own iteration cap
-        raise RuntimeError("lockstep Brent iteration did not converge")
-    return out
+        if _has_nan(fcur):
+            raise _nan_error(xcur[np.isnan(fcur)][0])
+    raise RuntimeError(  # pragma: no cover - brentq's own iteration cap
+        "lockstep Brent iteration did not converge")

@@ -189,26 +189,6 @@ def _orbit_record(p: Params, res: MapResult, residual: float) -> OrbitRecord:
                        signature=res.signature, residual=residual, params=p)
 
 
-def nonsticking_margin(p: Params) -> float:
-    """Closed-form non-sticking margin of the symmetric m = 1 family:
-
-        sqrt(4F^2 - pi^2 f^2) - pi sqrt(F^2 - f^2)
-        + pi f (asin(pi f / 2F) - asin(f / F)) + R omega^2
-
-    positive iff the slower minimum of the flight velocity is positive
-    (the margin equals pi omega times that minimum)."""
-    if not (p.f < p.F):
-        raise ContractViolation("margin requires f < F")
-    if p.f / p.F > 2.0 / math.pi:
-        raise ContractViolation("margin requires f/F <= 2/pi")
-    F, f = p.F, p.f
-    return (math.sqrt(4.0 * F * F - math.pi ** 2 * f * f)
-            - math.pi * math.sqrt(F * F - f * f)
-            + math.pi * f * (math.asin(math.pi * f / (2.0 * F))
-                             - math.asin(f / F))
-            + p.R * p.omega ** 2)
-
-
 def symmetric_fold_friction(p: Params, m: int = 1) -> float:
     """Friction value where the two symmetric branches collide."""
     return 2.0 * p.F / (m * math.pi)

@@ -59,9 +59,12 @@ CLASS_CODE = {MapClass.AREA_PRESERVING: 0, MapClass.CONTRACTING: 1,
 # independently of the grid size.
 BATCH_CELLS = 4096
 
-# Under the uniform law, sets smaller than this are mapped one state at a
-# time: there a lockstep pass costs more than it saves (measured crossover).
-SCALAR_CELLS = 96
+# Sets smaller than this, per force law, are mapped one state at a time:
+# there a lockstep pass costs more than it saves (measured crossovers).  On
+# the wall-vanishing recipe (t0 = 0, random cells, medians of 15 sets, 2
+# vCPU) lockstep against one at a time took 5.9 / 2.3 ms for 1 state,
+# 16.3 / 14.5 ms for 12, 17.0 / 20.3 ms for 16 and 19.6 / 29.6 ms for 24.
+SCALAR_CELLS = {ForceLaw.UNIFORM: 96, ForceLaw.WALL_VANISHING: 16}
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,8 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
                      event_cap: int = EVENT_CAP) -> MapBatch:
     """``period_map`` of many states (xs[i], vs[i]) at phase time t0.
 
-    Under the uniform law, fewer than SCALAR_CELLS states are mapped one at
-    a time.  Other sets advance in lockstep (``_advance_batch``, in chunks
+    Fewer than SCALAR_CELLS[p.force_law] states are mapped one at a
+    time.  Other sets advance in lockstep (``_advance_batch``, in chunks
     of BATCH_CELLS) with the scalar engine's rules and floating-point
     order, and the states the kernel hands back are mapped one at a time.
     So each state's image, det, class and counts equal ``period_map``'s;
@@ -199,7 +202,7 @@ def period_map_batch(p: Params, xs, vs, t0: float = 0.0, *,
     undefined = np.zeros(n, dtype=bool)
     capped = np.zeros(n, dtype=bool)
     t_end = t0 + p.T
-    if p.force_law is ForceLaw.UNIFORM and n < SCALAR_CELLS:
+    if n < SCALAR_CELLS[p.force_law]:
         rows = range(n)                        # states mapped one at a time
     else:
         rows = []

@@ -13,7 +13,8 @@ from vibroimpact import (ContractViolation, GridSpec, MapClass, SimulationError,
                          strobemap)
 from vibroimpact.flight import WallVanishingArc, WallVanishingArcs
 from vibroimpact.simulator import EVENT_CAP, LOCKSTEP_EVENTS, _advance_batch
-from vibroimpact.strobemap import BATCH_CELLS, CLASS_CODE, period_map_batch
+from vibroimpact.strobemap import (BATCH_CELLS, CLASS_CODE, SCALAR_CELLS,
+                                   period_map_batch)
 
 FAST = make_params(F=1.0, f=0.05, omega=2.0 * math.pi, l=-1.0, r=1.0)
 PARAMS = (
@@ -46,9 +47,9 @@ WV_PARAMS = (
 @pytest.fixture(autouse=True)
 def lockstep_always(monkeypatch):
     """The sets here are small: without this, period_map_batch would map
-    the uniform ones one state at a time, the scalar map compared with
-    itself."""
-    monkeypatch.setattr(strobemap, "SCALAR_CELLS", 0)
+    them one state at a time, the scalar map compared with itself."""
+    monkeypatch.setattr(strobemap, "SCALAR_CELLS",
+                        dict.fromkeys(SCALAR_CELLS, 0))
 
 
 def scalar_rows(p, xs, vs, t0, event_cap=EVENT_CAP):
@@ -152,7 +153,7 @@ def test_small_sets_map_alike_with_and_without_the_crossover(monkeypatch):
     xs = np.array([0.2, 0.4, 0.0, -1.0, 1.0, -0.5])
     vs = np.array([0.0, 0.5, 9.0, 0.7, 0.0, -0.3])
     lockstep = period_map_batch(still, xs, vs, 0.3, event_cap=3)
-    monkeypatch.setattr(strobemap, "SCALAR_CELLS", 96)
+    monkeypatch.setattr(strobemap, "SCALAR_CELLS", SCALAR_CELLS)
     one_by_one = period_map_batch(still, xs, vs, 0.3, event_cap=3)
     for name in ("out_x", "out_v", "det", "code", "counts", "capped"):
         np.testing.assert_array_equal(getattr(lockstep, name),
@@ -345,6 +346,27 @@ def test_wall_vanishing_batch_matches_scalar(p, cells, t0, zero_every, rest):
         x_rest = min(eta + (1.0 - eta) * rest, 1.0 - 1e-6)
         xs, vs = np.append(xs, [x_rest, -x_rest]), np.append(vs, [0.0, 0.0])
     assert_equals_scalar(p, xs, vs, t0)
+
+
+@pytest.mark.parametrize("p", WV_PARAMS[:2], ids=["recipe", "sticky"])
+def test_wall_vanishing_crossover_maps_alike(monkeypatch, p):
+    """Under the wall-vanishing law a set below SCALAR_CELLS is mapped one
+    state at a time and a set at it in lockstep; on both sides the batch
+    equals ``period_map`` bit for bit."""
+    monkeypatch.setattr(strobemap, "SCALAR_CELLS", SCALAR_CELLS)
+    lockstep_sizes = []
+
+    def counted(params, xs, *args):
+        lockstep_sizes.append(len(xs))
+        return _advance_batch(params, xs, *args)
+    monkeypatch.setattr(strobemap, "_advance_batch", counted)
+    cut = SCALAR_CELLS[p.force_law]
+    rng = np.random.default_rng(23)
+    for n in (1, cut - 1, cut, cut + 1):
+        xs, vs = rng.uniform(-0.999, 0.999, n), rng.uniform(-1.5, 1.5, n)
+        vs[::3] = 0.0
+        assert_equals_scalar(p, xs, vs, rng.uniform(0.0, p.T))
+    assert lockstep_sizes == [cut, cut + 1]
 
 
 def test_wall_vanishing_batch_covers_event_kinds():

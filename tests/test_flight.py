@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from vibroimpact import ContractViolation, lockstep, make_params
+from vibroimpact import (ContractViolation, applied_force, flight, lockstep,
+                         make_params, period_map_jacobian)
 from vibroimpact.flight import (_BRENT_KW, HORIZON, IMPACT, VELOCITY_ZERO,
                                 SinusoidArc, UniformFlightArc, UniformFlightArcs,
-                                _arc, _speed_keeps_sign, next_event)
+                                WallVanishingArcs, _arc, _speed_keeps_sign,
+                                next_event)
 
 
 def test_force_free_drift_arc():
@@ -294,20 +296,28 @@ def test_speed_floor_certifies_only_arcs_without_a_zero(p, lift, arcs, t_hi):
 
 def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target):
     """``lockstep.brentq`` on x(t) - target of a bundle of uniform arcs
-    equals scipy's ``brentq`` bracket by bracket, bit for bit.  Returns
-    scipy's number of function calls per bracket."""
+    equals scipy's ``brentq`` bracket by bracket, bit for bit, and so does
+    ``lockstep.brentq1`` on each bracket.  Returns scipy's number of
+    function calls per bracket."""
     sign = np.where(v0 != 0.0, np.sign(v0), 1.0)
     arcs = UniformFlightArcs(p, x0, v0, t0, sign)
 
     def bracket_fn(i):
         sub, tg = arcs.take(i), target[i]
         return lambda t: sub.x(t) - tg
+
+    def bracket_fn1(i):
+        x, tg = arcs.one(i).x, float(target[i])
+        return lambda t: x(t) - tg
     ref = [brentq(lambda t, k=k: (arcs.take([k]).x(np.array([t])) - target[k]
                                   ).item(), lo[k], hi[k], full_output=True,
                   **_BRENT_KW) for k in range(len(lo))]
-    got = lockstep.brentq(bracket_fn, lo, hi, arcs.x(lo) - target,
+    got = lockstep.brentq(bracket_fn, bracket_fn1, lo, hi, arcs.x(lo) - target,
                           arcs.x(hi) - target, **_BRENT_KW)
     np.testing.assert_array_equal(got, [root for root, _ in ref])
+    for k, (root, _) in enumerate(ref):
+        assert assert_brent1_matches_scipy(bracket_fn1(k), float(lo[k]),
+                                           float(hi[k])) is not None
     return [r.function_calls for _, r in ref]
 
 
@@ -351,3 +361,146 @@ def test_lockstep_brent_matches_scipy(p, brackets):
     if k.size:
         assert_brent_matches_scipy(p, t0[k], x0[k], v0[k], lo[k], hi[k],
                                    target[k])
+
+
+# ---------------------------------------------------------------------------
+# Brent on Python floats
+# ---------------------------------------------------------------------------
+
+def assert_brent1_matches_scipy(g, lo, hi):
+    """``lockstep.brentq1``, handed g's values at lo and hi, returns scipy's
+    root bit for bit, or raises ValueError with scipy's reason where scipy
+    does.  Returns scipy's number of function calls (None: refused)."""
+    try:
+        root, r = brentq(g, lo, hi, full_output=True, **_BRENT_KW)
+    except ValueError as e:
+        reason = "different signs" if "different signs" in str(e) else "NaN"
+        with pytest.raises(ValueError, match=reason):
+            lockstep.brentq1(g, lo, hi, g(lo), g(hi), **_BRENT_KW)
+        return None
+    got = lockstep.brentq1(g, lo, hi, g(lo), g(hi), **_BRENT_KW)
+    assert float(got).hex() == root.hex()
+    return r.function_calls
+
+
+def _nan_between(g, a, b):
+    return lambda t: math.nan if a < t < b else g(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(SCAN_PARAMS), t0=st.floats(0.0, 6.0),
+       x0=st.floats(-1.0, 1.0), v0=st.floats(-3.0, 3.0),
+       a=st.floats(0.0, 2.0), width=st.floats(1e-9, 3.0),
+       frac=st.floats(-0.25, 1.25),
+       nan=st.sampled_from([None, "lo", "hi", "inside"]))
+@example(p=SCAN_PARAMS[0], t0=0.0, x0=0.0, v0=1.0, a=0.0, width=1.0,
+         frac=0.5, nan=None)
+@example(p=SCAN_PARAMS[0], t0=0.0, x0=0.0, v0=1.0, a=0.0, width=1.0,
+         frac=1.5, nan=None)
+@example(p=SCAN_PARAMS[0], t0=0.0, x0=0.0, v0=1.0, a=0.0, width=1.0,
+         frac=0.5, nan="inside")
+def test_float_brent_matches_scipy(p, t0, x0, v0, a, width, frac, nan):
+    """On x(t) - target of a uniform arc, with the target at a fraction of
+    the bracket's width (outside [0, 1]: most often ends of one sign), and
+    with NaN at an end or over the bracket's middle third."""
+    arc = UniformFlightArc(p, x0, v0, t0, 1 if v0 >= 0.0 else -1)
+    lo, hi = t0 + a, t0 + a + width
+    target = arc.x(lo + frac * width)
+
+    def g(t):
+        return arc.x(t) - target
+    if nan == "lo":
+        g = _nan_between(g, -math.inf, lo + width / 3.0)
+    elif nan == "hi":
+        g = _nan_between(g, hi - width / 3.0, math.inf)
+    elif nan == "inside":
+        g = _nan_between(g, lo + width / 3.0, hi - width / 3.0)
+    assert_brent1_matches_scipy(g, lo, hi)
+
+
+@pytest.mark.parametrize("tail", [0, 40], ids=["arrays", "floats"])
+def test_lockstep_brent_refuses_nan(monkeypatch, tail):
+    """``lockstep.brentq`` raises ValueError, as scipy does, on a NaN end
+    value and on a NaN met mid-iteration (here at the first secant step,
+    t = 0.5), on arrays and on the float tail alike."""
+    monkeypatch.setattr(lockstep, "_FLOAT_TAIL", tail)
+
+    def g(t):
+        return math.nan if abs(t - 0.5) < 0.01 else t - 0.5
+    lo, hi = np.zeros(40), np.full(40, 0.8)
+    f_lo, f_hi = lo - 0.5, hi - 0.5
+    args = (lambda i: lambda t: np.array([g(x) for x in t]), lambda i: g)
+    with pytest.raises(ValueError, match="NaN"):
+        lockstep.brentq(*args, lo, hi, f_lo, f_hi, **_BRENT_KW)
+    f_hi[3] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        lockstep.brentq(*args, lo, hi, f_lo, f_hi, **_BRENT_KW)
+
+
+def _at_float_tails(monkeypatch, fn, n):
+    """fn() with ``lockstep.brentq`` handing its brackets to floats at no
+    live count (0), at 7, at the default crossover and at once (n)."""
+    outs = []
+    for tail in (0, 7, lockstep._FLOAT_TAIL, n):
+        monkeypatch.setattr(lockstep, "_FLOAT_TAIL", tail)
+        outs.append(fn())
+    return outs
+
+
+def _assert_all_equal(outs):
+    for out in outs[1:]:
+        for a, b in zip(outs[0], out):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("p", SCAN_PARAMS[:3], ids=["fast", "narrow", "sticky"])
+def test_float_tail_keeps_uniform_roots(monkeypatch, p):
+    """Uniform wall crossings and velocity polishes give the same roots
+    whichever live count the lockstep Brent finishes on floats at."""
+    rng = np.random.default_rng(7)
+    n = 300
+    t0 = rng.uniform(0.0, p.T, n)
+    x0 = rng.uniform(p.l, p.r, n)
+    v0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-3.0, 3.0, n))
+    arcs = UniformFlightArcs(p, x0, v0, t0, _signs(p, t0, v0))
+    t_hi = t0 + 1.5 * p.T
+    target = np.where(arcs.sign > 0, p.r, p.l)
+    outs = _at_float_tails(monkeypatch, lambda: (
+        arcs.first_velocity_zero(float(t_hi.max())),
+        arcs.wall_crossing(target, t0, t_hi)), n)
+    _assert_all_equal(outs)
+    t_v, t_x = outs[0]
+    assert np.isfinite(t_v).sum() > 30 and np.isfinite(t_x).sum() > 30
+
+
+def test_float_tail_keeps_wall_vanishing_roots(monkeypatch, wall_vanishing):
+    """Velocity zeros and wall crossings polished on the dense polynomials
+    of wall-vanishing steps, likewise."""
+    p, rng, n = wall_vanishing, np.random.default_rng(11), 120
+    t0 = rng.uniform(0.0, p.T, n)
+    x0 = rng.uniform(-0.999, 0.999, n)
+    v0 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-2.0, 2.0, n))
+    sign = np.array([(1 if v > 0 else -1) if v != 0.0
+                     else (1 if applied_force(p, x, t) > 0 else -1)
+                     for x, v, t in zip(x0, v0, t0)], dtype=float)
+    outs = _at_float_tails(monkeypatch, lambda: WallVanishingArcs(
+        p, x0, v0, t0, sign).event_times(float(t0.max()) + p.T), n)
+    _assert_all_equal(outs)
+    t_v, t_x = outs[0]
+    assert np.isfinite(t_v).sum() > 20 and np.isfinite(t_x).sum() > 20
+
+
+def test_scalar_maps_call_brent_through_the_module_name(monkeypatch):
+    """Single arcs reach ``flight.brentq`` through the module global, the
+    name perfbench/spans.py wraps: a counter put there sees the calls of
+    a scalar Jacobian map."""
+    calls = []
+    real = flight.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(flight, "brentq", counted)
+    p = make_params(F=1.0, f=0.05, omega=2.0 * math.pi, l=-1.0, r=1.0)
+    period_map_jacobian(p, (0.3, 1.0), 0.0)
+    assert len(calls) > 0

@@ -13,9 +13,9 @@ import math
 
 import pytest
 
-from vibroimpact import (AttractorRegistry, GridSpec, classify_cell,
-                         classify_cells, iterate_cloud, make_params,
-                         portrait, verdicts_csv)
+from vibroimpact import (AttractorRegistry, ForceLaw, GridSpec,
+                         classify_cell, classify_cells, iterate_cloud,
+                         make_params, portrait, verdicts_csv)
 from vibroimpact.strobemap import SCALAR_CELLS
 
 NARROW = make_params(F=1.0, f=0.005, omega=1.0, l=0.0, r=0.8)
@@ -105,4 +105,4 @@ def test_one_cell_calls_are_pinned():
 
 def test_fast_grid_is_above_the_scalar_threshold():
     assert VERDICT_CASES["fast"][1].nx * VERDICT_CASES["fast"][1].nv \
-        > SCALAR_CELLS
+        > SCALAR_CELLS[ForceLaw.UNIFORM]

@@ -27,3 +27,20 @@ def test_no_catch_all_handler(path):
             caught = set(_names(node.type))
             assert not caught & {"Exception", "BaseException"}, \
                 f"{where}: except {', '.join(sorted(caught))}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_optimize(path):
+    """Root finding is the package's own (``lockstep.brentq1`` and
+    ``lockstep.brentq``): nothing imports ``scipy.optimize``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}"
+                                     for a in node.names]
+        else:
+            continue
+        for name in names:
+            assert not (name + ".").startswith("scipy.optimize."), \
+                f"{path.name}:{node.lineno} imports {name}"
