@@ -366,7 +366,8 @@ class WallVanishingArc:
                                                  in zip(y, y_new, K)])))
             if _step_may_hold_event(p, s, y[1], y_new[1], f[1], hh, y_new[0],
                                     target, t_new >= horizon):
-                self._last = (t, hh, y, lockstep.dense1(fun, t, hh, y, y_new, K))
+                self._last = _Step1(t, hh, y,
+                                    lockstep.dense1(fun, t, hh, y, y_new, K))
                 t_v, t_x = self._events(t_new, target, guard)
                 if t_v is not None or t_x is not None or t_new >= horizon:
                     return t_v, t_x
@@ -375,7 +376,7 @@ class WallVanishingArc:
     def _events(self, t_end, target, guard):
         """``WallVanishingArcs._events`` on the last step, which ends at
         t_end."""
-        t_old, h = self._last[:2]
+        t_old, h = self._last.t, self._last.h
         lo, S, t_v = t_old, _WV_STEP_SAMPLES, None
         for k in range(1, S + 1):
             t = t_end if k == S else t_old + h * (k / S)
@@ -390,15 +391,16 @@ class WallVanishingArc:
 
     def _at(self, t: float, row: int) -> float:
         """Component ``row`` at time t, on the accepted step that holds t."""
-        t_old, h, y_old, F = self._last
-        if t < t_old:
+        step = self._last
+        if t < step.t:
             i = max(0, bisect.bisect_right(self._steps, t, key=itemgetter(0)) - 1)
             t_old, h, packed = self._steps[i]
             rows = packed.tolist()
             y_old = [r[0] for r in rows]
-            F = lockstep.dense1(self._fun, t_old, h, y_old, [r[1] for r in rows],
-                                [r[2:] for r in rows])
-        return lockstep.interpolate1(F[row], y_old[row], (t - t_old) / h)
+            step = _Step1(t_old, h, y_old, lockstep.dense1(
+                self._fun, t_old, h, y_old, [r[1] for r in rows],
+                [r[2:] for r in rows]))
+        return step.at(t, row)
 
     def x(self, t: float) -> float:
         return self._at(t, 0)
@@ -650,10 +652,10 @@ class WallVanishingArcs(_LockstepArcs):
         return lockstep.interpolate(self._F[:, row], self._y[row],
                                     (t - self._t) / self._h)
 
-    def one(self, k: int) -> "_LastStep1":
-        """The last step of arc k on Python floats."""
-        return _LastStep1(self._t[k], self._h[k], self._y[:, k],
-                          self._F[:, :, k])
+    def one(self, k: int) -> "_Step1":
+        """x and v of arc k's last step on Python floats."""
+        return _Step1(float(self._t[k]), float(self._h[k]),
+                      self._y[:2, k].tolist(), self._F[:, :2, k].T.tolist())
 
     def x(self, t):
         return self._at(t, 0)
@@ -729,23 +731,29 @@ class WallVanishingArcs(_LockstepArcs):
         return t_v, last.wall_crossing(target, last._t, t_stop)
 
 
-class _LastStep1:
-    """``WallVanishingArcs._at`` of one arc on Python floats, by
-    ``lockstep.interpolate1``: the same operations as the bundle's."""
+class _Step1:
+    """One accepted DOP853 step on Python floats, read by
+    ``lockstep.interpolate1``: the operations of ``WallVanishingArcs._at``
+    on one arc.  The scalar arc and ``WallVanishingArcs.one`` both read
+    their steps through it."""
 
     __slots__ = ("t", "h", "y", "F")
 
-    def __init__(self, t, h, y, F):
-        """y: the step's start state, F: its (7, d) coefficients; rows 0
-        and 1 (x and v) are kept."""
-        self.t, self.h = float(t), float(h)
-        self.y, self.F = y[:2].tolist(), F[:, :2].T.tolist()
+    def __init__(self, t: float, h: float, y, F):
+        """y: the step's start state, F: the 7 interpolant coefficients of
+        each component (``lockstep.dense1``'s layout)."""
+        self.t, self.h, self.y, self.F = t, h, y, F
+
+    def at(self, t: float, row: int) -> float:
+        """Component ``row`` at time t."""
+        return lockstep.interpolate1(self.F[row], self.y[row],
+                                     (t - self.t) / self.h)
 
     def x(self, t: float) -> float:
-        return lockstep.interpolate1(self.F[0], self.y[0], (t - self.t) / self.h)
+        return self.at(t, 0)
 
     def v(self, t: float) -> float:
-        return lockstep.interpolate1(self.F[1], self.y[1], (t - self.t) / self.h)
+        return self.at(t, 1)
 
 
 def next_events(p: Params, arcs, horizon: float):

@@ -64,6 +64,10 @@ BATCH_CELLS = 4096
 # the wall-vanishing recipe (t0 = 0, random cells, medians of 15 sets, 2
 # vCPU) lockstep against one at a time took 5.9 / 2.3 ms for 1 state,
 # 16.3 / 14.5 ms for 12, 17.0 / 20.3 ms for 16 and 19.6 / 29.6 ms for 24.
+# Near 16 the two sides are within noise (a second pass read 20.0 / 20.2
+# ms), and no benchmark workload maps a wall-vanishing set below the cut
+# (``wall_vanishing`` maps 400 cells), so the gain there is unverified end
+# to end.
 SCALAR_CELLS = {ForceLaw.UNIFORM: 96, ForceLaw.WALL_VANISHING: 16}
 
 

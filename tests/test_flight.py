@@ -296,9 +296,10 @@ def test_speed_floor_certifies_only_arcs_without_a_zero(p, lift, arcs, t_hi):
 
 def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target):
     """``lockstep.brentq`` on x(t) - target of a bundle of uniform arcs
-    equals scipy's ``brentq`` bracket by bracket, bit for bit, and so does
-    ``lockstep.brentq1`` on each bracket.  Returns scipy's number of
-    function calls per bracket."""
+    equals scipy's ``brentq`` bracket by bracket, bit for bit: on arrays
+    alone (float tail 0), handing over mid-iteration (tail 2) and at the
+    default tail.  So does ``lockstep.brentq1`` on each bracket.  Returns
+    scipy's number of function calls per bracket."""
     sign = np.where(v0 != 0.0, np.sign(v0), 1.0)
     arcs = UniformFlightArcs(p, x0, v0, t0, sign)
 
@@ -312,9 +313,13 @@ def assert_brent_matches_scipy(p, t0, x0, v0, lo, hi, target):
     ref = [brentq(lambda t, k=k: (arcs.take([k]).x(np.array([t])) - target[k]
                                   ).item(), lo[k], hi[k], full_output=True,
                   **_BRENT_KW) for k in range(len(lo))]
-    got = lockstep.brentq(bracket_fn, bracket_fn1, lo, hi, arcs.x(lo) - target,
-                          arcs.x(hi) - target, **_BRENT_KW)
-    np.testing.assert_array_equal(got, [root for root, _ in ref])
+    for tail in (0, 2, lockstep._FLOAT_TAIL):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lockstep, "_FLOAT_TAIL", tail)
+            got = lockstep.brentq(bracket_fn, bracket_fn1, lo, hi,
+                                  arcs.x(lo) - target, arcs.x(hi) - target,
+                                  **_BRENT_KW)
+        np.testing.assert_array_equal(got, [root for root, _ in ref])
     for k, (root, _) in enumerate(ref):
         assert assert_brent1_matches_scipy(bracket_fn1(k), float(lo[k]),
                                            float(hi[k])) is not None
